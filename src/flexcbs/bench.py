@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import argparse
 import csv
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
+from .cli import UsageParser, agent_count
 from .flex import FlexMode
 from .highlevel import RunMetrics, SolverConfig, Solver
 from .map_io import load_instance
@@ -96,7 +96,6 @@ class BenchSpec:
     low_level: str = "focal"
     time_limit: float = 60.0
     repetitions: int = 1
-    seed: int = 0
     bypass: bool = True
     prioritize: bool = True
     symmetry: bool = True
@@ -133,7 +132,7 @@ def run_benchmark(spec: BenchSpec) -> list[ResultRow]:
                                 bypass=spec.bypass,
                                 prioritize=spec.prioritize,
                                 symmetry=spec.symmetry,
-                                time_limit=spec.time_limit, seed=spec.seed)
+                                time_limit=spec.time_limit)
                             result = Solver(instance, config).solve()
                             outcome = result.outcome
                             if result.paths is not None:
@@ -237,18 +236,17 @@ def _mean(values: list[float]) -> float:
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(prog="flexcbs-bench",
-                                 description="Run a MAPF benchmark sweep")
+    ap = UsageParser(prog="flexcbs-bench",
+                     description="Run a MAPF benchmark sweep")
     ap.add_argument("--map", required=True)
     ap.add_argument("--scen", required=True, nargs="+")
-    ap.add_argument("--agents", required=True, nargs="+", type=int)
+    ap.add_argument("--agents", required=True, nargs="+", type=agent_count)
     ap.add_argument("--suboptimality", nargs="+", type=float, default=[1.05])
     ap.add_argument("--flex", nargs="+", default=["none"],
                     choices=[m.value for m in FlexMode])
     ap.add_argument("--lowlevel", default="focal", choices=["focal", "fastar"])
     ap.add_argument("--time-limit", type=float, default=60.0)
     ap.add_argument("--repetitions", type=int, default=1)
-    ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out-csv", default="results.csv")
     ap.add_argument("--out-summary", default=None)
     ap.add_argument("--out-plots", default=None)
@@ -257,7 +255,7 @@ def main(argv=None) -> int:
                      agent_counts=args.agents, w_values=args.suboptimality,
                      flex_modes=args.flex, low_level=args.lowlevel,
                      time_limit=args.time_limit, repetitions=args.repetitions,
-                     seed=args.seed, out_csv=args.out_csv,
+                     out_csv=args.out_csv,
                      out_summary=args.out_summary, out_plots=args.out_plots)
     rows = run_benchmark(spec)
     solved = sum(1 for r in rows if r.outcome == "solved")

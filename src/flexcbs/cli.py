@@ -17,18 +17,28 @@ EXIT_INFEASIBLE = 2
 EXIT_USAGE = 64
 
 
-class _Parser(argparse.ArgumentParser):
+class UsageParser(argparse.ArgumentParser):
+    """An argument parser that exits with EXIT_USAGE on bad arguments."""
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 
+def agent_count(text: str) -> int:
+    """argparse type for --agents: an integer of at least 1."""
+    k = int(text)
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {k}")
+    return k
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = _Parser(prog="flexcbs", description="Bounded-suboptimal MAPF solver")
+    ap = UsageParser(prog="flexcbs", description="Bounded-suboptimal MAPF solver")
     ap.add_argument("--map", required=True, help="MovingAI .map file")
     ap.add_argument("--scen", required=True, help="MovingAI .scen file")
-    ap.add_argument("--agents", required=True, type=int)
+    ap.add_argument("--agents", required=True, type=agent_count)
     ap.add_argument("--suboptimality", type=float, default=1.05)
     ap.add_argument("--flex", default="none",
                     choices=[m.value for m in FlexMode])
@@ -40,7 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--symmetry", action=argparse.BooleanOptionalAction,
                     default=True)
     ap.add_argument("--time-limit", type=float, default=60.0)
-    ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default=None, help="solution output path")
     return ap
 
@@ -83,7 +92,7 @@ def main(argv=None) -> int:
         w=args.suboptimality, flex_mode=FlexMode(args.flex),
         low_level=args.lowlevel, bypass=args.bypass,
         prioritize=args.prioritize, symmetry=args.symmetry,
-        time_limit=args.time_limit, seed=args.seed)
+        time_limit=args.time_limit)
     result = Solver(instance, config).solve()
     if result.paths is not None:
         problems = validate(result.paths, instance)

@@ -62,6 +62,31 @@ class Corridor:
         return frozenset(self.interior) | frozenset(self.endpoints)
 
 
+def pair_conflicts(i: int, j: int, pi: Path, pj: Path) -> list[Conflict]:
+    """Vertex/edge conflicts between agents i < j, with target permanence."""
+    out = []
+    prev_i, prev_j = pi.at(0), pj.at(0)
+    if prev_i == prev_j:
+        out.append(Conflict(i, j, prev_i, 0))
+    for t in range(1, max(pi.cost, pj.cost) + 1):
+        ci, cj = pi.at(t), pj.at(t)
+        if ci == cj:
+            out.append(Conflict(i, j, ci, t))
+        elif ci == prev_j and cj == prev_i and ci != prev_i:
+            out.append(Conflict(i, j, ci, t, u=prev_i))
+        prev_i, prev_j = ci, cj
+    return out
+
+
+def conflict_counts(conflicts: list[Conflict], k: int) -> list[int]:
+    """Number of conflicts each of the k agents takes part in."""
+    counts = [0] * k
+    for c in conflicts:
+        counts[c.a_i] += 1
+        counts[c.a_j] += 1
+    return counts
+
+
 def detect_conflicts(paths: list[Path]) -> tuple[list[Conflict], list[int], int]:
     """All vertex/edge conflicts between every pair, with target permanence.
 
@@ -70,29 +95,10 @@ def detect_conflicts(paths: list[Path]) -> tuple[list[Conflict], list[int], int]
     """
     k = len(paths)
     conflicts = []
-    counts = [0] * k
     for i in range(k):
-        pi = paths[i]
         for j in range(i + 1, k):
-            pj = paths[j]
-            horizon = max(pi.cost, pj.cost)
-            prev_i, prev_j = pi.at(0), pj.at(0)
-            if prev_i == prev_j:
-                conflicts.append(Conflict(i, j, prev_i, 0))
-                counts[i] += 1
-                counts[j] += 1
-            for t in range(1, horizon + 1):
-                ci, cj = pi.at(t), pj.at(t)
-                if ci == cj:
-                    conflicts.append(Conflict(i, j, ci, t))
-                    counts[i] += 1
-                    counts[j] += 1
-                elif ci == prev_j and cj == prev_i and ci != prev_i:
-                    conflicts.append(Conflict(i, j, ci, t, u=prev_i))
-                    counts[i] += 1
-                    counts[j] += 1
-                prev_i, prev_j = ci, cj
-    return conflicts, counts, len(conflicts)
+            conflicts.extend(pair_conflicts(i, j, paths[i], paths[j]))
+    return conflicts, conflict_counts(conflicts, k), len(conflicts)
 
 
 def find_corridor(grid: GridMap, v: Cell) -> Corridor | None:
@@ -135,7 +141,7 @@ class Classifier:
         self.prioritize = prioritize
 
     def classify(self, conflict: Conflict, paths: list[Path],
-                 constraints: list[list[Constraint]],
+                 constraints: list[tuple[Constraint, ...]],
                  targets: dict[int, Cell]) -> Conflict:
         if self.symmetry:
             tc = self._as_target(conflict, paths, targets)
@@ -158,7 +164,7 @@ class Classifier:
         return None
 
     def _as_corridor(self, c: Conflict, paths: list[Path],
-                     constraints: list[list[Constraint]],
+                     constraints: list[tuple[Constraint, ...]],
                      targets: dict[int, Cell]) -> Conflict | None:
         probe = c.v if self.grid.degree(c.v) == 2 else (c.u if c.is_edge else None)
         if probe is None or self.grid.degree(probe) != 2:
@@ -200,7 +206,7 @@ class Classifier:
                        t_min_i=tmins[0], t_min_j=tmins[1])
 
     def _cardinality(self, c: Conflict, paths: list[Path],
-                     constraints: list[list[Constraint]],
+                     constraints: list[tuple[Constraint, ...]],
                      targets: dict[int, Cell]) -> Conflict:
         blocked = 0
         for agent in (c.a_i, c.a_j):
@@ -212,41 +218,18 @@ class Classifier:
         return replace(c, cls=cls)
 
     def _forced(self, agent: int, c: Conflict, paths: list[Path],
-                constraints: list[list[Constraint]],
+                constraints: list[tuple[Constraint, ...]],
                 targets: dict[int, Cell]) -> bool:
         """True if no path of the current cost avoids the conflict point."""
         extra = split_constraint_for(agent, c)
-        ctable = ConstraintTable(agent, constraints[agent] + [extra],
+        ctable = ConstraintTable(agent, [*constraints[agent], extra],
                                  targets=targets)
-        cap = paths[agent].cost
-        start, goal = paths[agent].cells[0], targets[agent]
-        t = _min_cost_within(self.grid, ctable, start, goal, cap)
-        return t is None
-
-
-def _min_cost_within(grid: GridMap, ctable: ConstraintTable, start: Cell,
-                     goal: Cell, cap: int) -> int | None:
-    """Smallest feasible arrival time <= cap, by reachable-set stepping."""
-    if ctable.infeasible or ctable.is_blocked(start, 0):
-        return None
-    if start == goal and ctable.goal_arrival_ok(goal, 0):
-        return 0
-    frontier = {start}
-    for t in range(1, cap + 1):
-        nxt = set()
-        for v in frontier:
-            for v2 in [v] + grid.neighbors(v):
-                if v2 in nxt:
-                    continue
-                if ctable.is_blocked(v2, t) or ctable.is_edge_blocked(v, v2, t):
-                    continue
-                nxt.add(v2)
-        if goal in nxt and ctable.goal_arrival_ok(goal, t):
-            return t
-        if not nxt:
-            return None
-        frontier = nxt
-    return None
+        if ctable.infeasible:
+            return True
+        path = paths[agent]
+        return earliest_arrival(self.grid, ctable, path.cells[0],
+                                targets[agent], path.cost,
+                                arrive_ok=ctable.goal_arrival_ok) is None
 
 
 def split_constraint_for(agent: int, c: Conflict) -> Constraint:

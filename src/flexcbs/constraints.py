@@ -156,23 +156,15 @@ class ConstraintTable:
         return t > self.last_block_on(goal)
 
 
-@dataclass(frozen=True)
-class DelayEstimate:
-    constraint: Constraint
-    delay: int
-
-
 def estimate_delays(constraints: list[Constraint], agent: int,
-                    parent_path: Path | None,
-                    parent_cost: int) -> tuple[list[DelayEstimate], int]:
-    """Rule-based delay estimate for each of the agent's constraints.
+                    parent_path: Path | None, parent_cost: int) -> int:
+    """Total rule-based delay estimate over the agent's constraints.
 
     Vertex/edge constraints are assumed satisfiable with one wait (delay 1).
     A range constraint on the exit vertex delays until the block lifts.
     Blocks induced on other agents by a LENGTH_LEQ are free; a LENGTH_GT on the
     replanned agent forces a later arrival. Each delay is clamped at 0.
     """
-    estimates = []
     total = 0
     for c in constraints:
         if c.agent != agent and c.kind is not ConstraintKind.LENGTH_LEQ:
@@ -191,6 +183,5 @@ def estimate_delays(constraints: list[Constraint], agent: int,
             d = max(0, c.t - parent_cost)
         else:  # LENGTH_LEQ (own or induced block): assumed free
             d = 0
-        estimates.append(DelayEstimate(c, d))
         total += d
-    return estimates, total
+    return total

@@ -15,8 +15,9 @@ import time
 from dataclasses import dataclass, field
 
 from . import flex as flexmod
-from .conflicts import (Classifier, Conflict, ConflictClass, detect_conflicts,
-                        pick_conflict, split_conflict)
+from .conflicts import (Classifier, Conflict, ConflictClass, conflict_counts,
+                        detect_conflicts, pair_conflicts, pick_conflict,
+                        split_conflict)
 from .constraints import (Constraint, ConstraintKind, ConstraintTable, Path,
                           estimate_delays)
 from .flex import FlexMode
@@ -26,6 +27,7 @@ from .map_io import Instance
 
 INF = math.inf
 EPS = 1e-6
+MAX_CLASSIFIED_CONFLICTS = 8  # bounded classification effort per node
 
 
 @dataclass
@@ -37,8 +39,6 @@ class SolverConfig:
     prioritize: bool = True
     symmetry: bool = True
     time_limit: float = 60.0
-    seed: int = 0
-    max_classified_conflicts: int = 8  # bounded classification effort per node
     keep_tree: bool = False  # retain all generated CT nodes for inspection
 
     def __post_init__(self):
@@ -54,7 +54,8 @@ class SolverConfig:
 
 @dataclass
 class CTNode:
-    constraints: list[list[Constraint]]
+    # one immutable tuple per agent; children share every slot they keep
+    constraints: list[tuple[Constraint, ...]]
     paths: list[Path]
     costs: list[int]
     lbs: list[float]
@@ -65,7 +66,6 @@ class CTNode:
     seq: int
     parent: "CTNode | None" = None
     fhat: float = 0.0
-    tau_used: dict[int, float] = field(default_factory=dict)
     gb_at_generation: bool = True
 
     @property
@@ -207,7 +207,7 @@ class Solver:
         self._seq += 1
         return self._seq
 
-    def _relevant_constraints(self, constraints: list[list[Constraint]],
+    def _relevant_constraints(self, constraints: list[tuple[Constraint, ...]],
                               agent: int) -> list[Constraint]:
         rel = list(constraints[agent])
         for other, cs in enumerate(constraints):
@@ -235,7 +235,7 @@ class Solver:
     # ---------------- root ----------------
 
     def make_root(self) -> CTNode | None:
-        constraints: list[list[Constraint]] = [[] for _ in range(self.k)]
+        constraints: list[tuple[Constraint, ...]] = [()] * self.k
         paths: list[Path] = []
         costs: list[int] = []
         lbs: list[float] = []
@@ -263,10 +263,9 @@ class Solver:
         ordered = sorted(node.conflicts, key=Conflict.sort_key)
         if not (self.config.prioritize or self.config.symmetry):
             return ordered[0]
-        budget = self.config.max_classified_conflicts
         classified = [self.classifier.classify(c, node.paths, node.constraints,
                                                self.targets)
-                      for c in ordered[:budget]]
+                      for c in ordered[:MAX_CLASSIFIED_CONFLICTS]]
         return pick_conflict(classified)
 
     def _replan_set(self, node_paths: list[Path], agent: int,
@@ -313,13 +312,12 @@ class Solver:
     def make_child(self, parent: CTNode, agent: int, constraint: Constraint,
                    frontier: Frontier,
                    metrics: RunMetrics) -> CTNode | None:
-        constraints = [list(cs) for cs in parent.constraints]
-        constraints[agent].append(constraint)
+        constraints = list(parent.constraints)
+        constraints[agent] = (*constraints[agent], constraint)
         paths = list(parent.paths)
         costs = list(parent.costs)
         lbs = list(parent.lbs)
         conflicts = list(parent.conflicts)
-        tau_used: dict[int, float] = {}
         replans = self._replan_set(parent.paths, agent, constraint)
         for r in sorted(replans):
             rel = self._relevant_constraints(constraints, r)
@@ -328,8 +326,8 @@ class Solver:
                 return None
             others = [paths[m] for m in range(self.k) if m != r]
             occ = Occupancy(others)
-            _, delay_sum = estimate_delays(rel, r, parent.paths[r],
-                                           parent.costs[r])
+            delay_sum = estimate_delays(rel, r, parent.paths[r],
+                                        parent.costs[r])
             fc = self._compute_flex(lbs, costs, r, parent, delay_sum, frontier)
             delta = fc.delta if fc is not None else 0.0
             result = self._plan(r, ctable, occ, delta=delta, lb_parent=lbs[r])
@@ -338,21 +336,20 @@ class Solver:
             paths[r] = result.path
             costs[r] = result.cost
             lbs[r] = result.lb
-            tau_used[r] = result.tau
             usage = costs[r] - self.config.w * lbs[r]
             metrics.flex_records.append(
                 (delta, usage, fc is None or fc.delta_max >= 0))
             # incremental conflict update for the replanned agent
             conflicts = [c for c in conflicts if r not in (c.a_i, c.a_j)]
-            conflicts.extend(self._conflicts_against(paths, r))
-        counts = [0] * self.k
-        for c in conflicts:
-            counts[c.a_i] += 1
-            counts[c.a_j] += 1
+            for m in range(self.k):
+                if m != r:
+                    i, j = min(r, m), max(r, m)
+                    conflicts.extend(pair_conflicts(i, j, paths[i], paths[j]))
         child = CTNode(constraints=constraints, paths=paths, costs=costs,
-                       lbs=lbs, conflicts=conflicts, x_counts=counts,
+                       lbs=lbs, conflicts=conflicts,
+                       x_counts=conflict_counts(conflicts, self.k),
                        x_total=len(conflicts), depth=parent.depth + 1,
-                       seq=self._next_seq(), parent=parent, tau_used=tau_used)
+                       seq=self._next_seq(), parent=parent)
         # instrumentation
         self._ehat_sum += max(0.0, child.soc - parent.soc)
         self._ehat_n += 1
@@ -368,24 +365,6 @@ class Solver:
             self.tree_nodes.append(child)
         return child
 
-    def _conflicts_against(self, paths: list[Path], r: int) -> list[Conflict]:
-        """Vertex/edge conflicts between agent r's path and everyone else's."""
-        out = []
-        for m in range(self.k):
-            if m == r:
-                continue
-            i, j = (r, m) if r < m else (m, r)
-            pi, pj = paths[i], paths[j]
-            prev_i, prev_j = pi.at(0), pj.at(0)
-            for t in range(1, max(pi.cost, pj.cost) + 1):
-                ci, cj = pi.at(t), pj.at(t)
-                if ci == cj:
-                    out.append(Conflict(i, j, ci, t))
-                elif ci == prev_j and cj == prev_i and ci != prev_i:
-                    out.append(Conflict(i, j, ci, t, u=prev_i))
-                prev_i, prev_j = ci, cj
-        return out
-
     def _try_bypass(self, node: CTNode, conflict: Conflict,
                     children: list[CTNode]) -> CTNode | None:
         if conflict.cls in (ConflictClass.TARGET, ConflictClass.CORRIDOR):
@@ -400,7 +379,7 @@ class Solver:
             # adopt the child's paths but keep the parent's constraints and
             # lower bounds
             adopted = CTNode(
-                constraints=[list(cs) for cs in node.constraints],
+                constraints=node.constraints,
                 paths=list(child.paths), costs=list(child.costs),
                 lbs=list(node.lbs), conflicts=list(child.conflicts),
                 x_counts=list(child.x_counts), x_total=child.x_total,

@@ -11,9 +11,11 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .constraints import ConstraintTable, Path
+from .flex import threshold
 from .map_io import Cell, GridMap
 
 INF = math.inf
@@ -78,11 +80,8 @@ class LowLevelRequest:
     w: float = 1.0
     delta: float = 0.0
     lb_parent: float = 0.0
-    horizon: int | None = None
 
     def effective_horizon(self) -> int:
-        if self.horizon is not None:
-            return self.horizon
         return self.ctable.latest_constraint_t + self.grid.num_passable() + 1
 
 
@@ -90,7 +89,6 @@ class LowLevelRequest:
 class LowLevelResult:
     path: Path
     cost: int
-    f_min: float
     lb: float
     tau: float
     expansions: int = 0
@@ -134,7 +132,7 @@ def _search(req: LowLevelRequest, two_phase: bool) -> LowLevelResult | None:
     f0 = f_of(req.start, 0)
     # The focal bound tracks the rising f_min and never shrinks, so the final
     # path cost is within w * max{f_min at termination, parent lb} + delta.
-    bound = req.w * max(f0, req.lb_parent) + req.delta
+    bound = threshold(req.w, f0, req.lb_parent, req.delta)
     in_focal: set = set()
     tree.best_x[start_key] = 0
     tree.parent[start_key] = None
@@ -200,7 +198,7 @@ def _search(req: LowLevelRequest, two_phase: bool) -> LowLevelResult | None:
         f_min_now = open_min_f()
         if f_min_now == INF:
             return None
-        new_bound = req.w * max(f_min_now, req.lb_parent) + req.delta
+        new_bound = threshold(req.w, f_min_now, req.lb_parent, req.delta)
         if new_bound > bound + EPS:
             bound = new_bound
             migrate(bound)
@@ -227,7 +225,7 @@ def _search(req: LowLevelRequest, two_phase: bool) -> LowLevelResult | None:
     tree.closed.add(found_key)
     f_min = min(float(cost), open_min_f())
     lb = max(f_min, req.lb_parent)
-    tau = req.w * max(f_min, req.lb_parent) + req.delta
+    tau = threshold(req.w, f_min, req.lb_parent, req.delta)
 
     if two_phase:
         # Phase (ii): f-ordered expansion to pin down the optimal constrained
@@ -248,9 +246,8 @@ def _search(req: LowLevelRequest, two_phase: bool) -> LowLevelResult | None:
         if optimal is None:
             optimal = cost  # phase (i) path already optimal
         lb = max(min(float(optimal), float(cost)), req.lb_parent)
-        f_min = min(float(optimal), open_min_f())
 
-    return LowLevelResult(path=path, cost=cost, f_min=f_min, lb=lb, tau=tau,
+    return LowLevelResult(path=path, cost=cost, lb=lb, tau=tau,
                           expansions=expansions)
 
 
@@ -262,17 +259,25 @@ def fastar_search(req: LowLevelRequest) -> LowLevelResult | None:
     return _search(req, two_phase=True)
 
 
+def _any_arrival(_v: Cell, _t: int) -> bool:
+    return True
+
+
 def earliest_arrival(grid: GridMap, ctable: ConstraintTable, start: Cell,
                      dest: Cell, horizon: int,
-                     banned: frozenset[Cell] = frozenset()) -> int | None:
-    """Earliest timestep at which the agent can occupy dest, or None.
+                     banned: frozenset[Cell] = frozenset(),
+                     arrive_ok: Callable[[Cell, int], bool] = _any_arrival
+                     ) -> int | None:
+    """Earliest timestep t <= horizon at which the agent can occupy dest with
+    arrive_ok(dest, t) true, or None.
 
     Plain time-expanded BFS under the constraint table; used for corridor
-    timing bounds. `banned` cells are excluded entirely.
+    timing bounds and, with the goal-parking test as arrive_ok, for
+    cardinality probes. `banned` cells are excluded entirely.
     """
     if start in banned or ctable.is_blocked(start, 0):
         return None
-    if start == dest:
+    if start == dest and arrive_ok(dest, 0):
         return 0
     frontier = {start}
     for t in range(1, horizon + 1):
@@ -283,7 +288,7 @@ def earliest_arrival(grid: GridMap, ctable: ConstraintTable, start: Cell,
                     continue
                 if ctable.is_blocked(v2, t) or ctable.is_edge_blocked(v, v2, t):
                     continue
-                if v2 == dest:
+                if v2 == dest and arrive_ok(dest, t):
                     return t
                 nxt.add(v2)
         if not nxt:

@@ -182,6 +182,8 @@ def parse_scenario(text: str, grid: GridMap, k: int) -> list[AgentSpec]:
         raise MapFormatError("empty scenario file")
     start_idx = 1 if lines[0].lower().startswith("version") else 0
     entries = lines[start_idx:]
+    if k < 0:
+        raise MapFormatError(f"requested a negative number of agents ({k})")
     if k > len(entries):
         raise MapFormatError(f"requested {k} agents but scenario has {len(entries)} entries")
     agents = []

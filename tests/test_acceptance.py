@@ -270,6 +270,7 @@ def test_criterion_08_metrics_correctness(capsys):
            f"lbi={metrics.lbi}")
 
 
+@pytest.mark.slow
 def test_criterion_09_directional_performance(capsys):
     rng = random.Random(9009)
     stats = {"gfd": {"gb": [], "solved": 0}, "mfd": {"gb": [], "solved": 0}}
@@ -306,8 +307,7 @@ def test_criterion_10_benchmark_determinism(capsys, tmp_path):
         "0\ttiny.map\t4\t4\t0\t3\t3\t0\t6\n")
     spec = BenchSpec(map_path=str(map_path), scen_paths=[str(scen_path)],
                      agent_counts=[2, 3], w_values=[1.0, 1.05],
-                     flex_modes=["none", "gfd", "mfd"], time_limit=30.0,
-                     seed=42)
+                     flex_modes=["none", "gfd", "mfd"], time_limit=30.0)
     keep = [i for i, c in enumerate(CSV_COLUMNS) if c not in RUNTIME_COLUMNS]
     first = [[r.to_csv_values()[i] for i in keep]
              for r in run_benchmark(spec)]

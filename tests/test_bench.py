@@ -90,7 +90,7 @@ class TestRunBenchmark:
         map_path, scen_path = bench_files
         defaults = dict(map_path=map_path, scen_paths=[scen_path],
                         agent_counts=[2], w_values=[1.0, 1.5],
-                        flex_modes=["none", "mfd"], time_limit=10.0, seed=7)
+                        flex_modes=["none", "mfd"], time_limit=10.0)
         defaults.update(kwargs)
         return BenchSpec(**defaults)
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from flexcbs import bench
 from flexcbs.cli import main
 
 MAP_TEXT = "type octile\nheight 3\nwidth 3\nmap\n...\n...\n...\n"
@@ -52,6 +53,22 @@ class TestUsageErrors:
 
     def test_too_many_agents_requested(self, files):
         assert main(base_args(files)[:-1] + ["5"]) == 64
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_agents_below_one(self, files, k):
+        with pytest.raises(SystemExit) as exc:
+            main(base_args(files)[:-1] + [k])
+        assert exc.value.code == 64
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_bench_agents_below_one(self, files, tmp_path, k):
+        map_path, scen_path = files
+        with pytest.raises(SystemExit) as exc:
+            bench.main(["--map", map_path, "--scen", scen_path,
+                        "--agents", "2", k,
+                        "--out-csv", str(tmp_path / "r.csv")])
+        assert exc.value.code == 64
+        assert not (tmp_path / "r.csv").exists()
 
 
 class TestSolveRuns:

@@ -2,10 +2,10 @@ import random
 
 from flexcbs.conflicts import (Classifier, Conflict, ConflictClass,
                                detect_conflicts, find_corridor, pick_conflict,
-                               split_conflict, split_constraint_for,
-                               _min_cost_within)
+                               split_conflict, split_constraint_for)
 from flexcbs.constraints import (ConstraintKind, ConstraintTable, Path,
                                  vertex_constraint)
+from flexcbs.lowlevel import earliest_arrival
 from helpers import (brute_constrained_opt, grid_from_rows, open_grid,
                      random_grid, random_walk_path)
 
@@ -241,6 +241,8 @@ class TestPickConflict:
 
 
 class TestMinCostWithin:
+    """Cardinality probes: earliest goal arrival within the current cost."""
+
     def test_matches_independent_oracle(self):
         rng = random.Random(9)
         for _ in range(60):
@@ -252,7 +254,8 @@ class TestMinCostWithin:
             cs = [vertex_constraint(0, rng.choice(cells), rng.randint(0, 4))
                   for _ in range(rng.randint(0, 3))]
             cap = rng.randint(1, 8)
-            got = _min_cost_within(grid, ConstraintTable(0, cs), start, goal,
-                                   cap)
+            table = ConstraintTable(0, cs)
+            got = earliest_arrival(grid, table, start, goal, cap,
+                                   arrive_ok=table.goal_arrival_ok)
             want = brute_constrained_opt(grid, cs, 0, start, goal, {}, cap)
             assert got == want

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from flexcbs.conflicts import detect_conflicts
 from flexcbs.flex import FlexMode
 from flexcbs.highlevel import Solver, SolverConfig, solve
 from flexcbs.map_io import AgentSpec, Instance
@@ -138,6 +139,36 @@ class TestTreeInvariants:
                 assert node.solb >= node.parent.solb - 1e-9
                 for i in range(len(node.lbs)):
                     assert node.lbs[i] >= node.parent.lbs[i] - 1e-9
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    @pytest.mark.parametrize("low_level", LOW_LEVELS)
+    def test_incremental_state_matches_rescan(self, mode, low_level):
+        rng = random.Random(25)
+        nodes = 0
+        for _ in range(6):
+            inst = random_instance(rng, 5, 5, 3)
+            if not optimal_soc(inst).solvable:
+                continue
+            solver = Solver(inst, SolverConfig(w=1.05, flex_mode=mode,
+                                               low_level=low_level,
+                                               time_limit=1.0, keep_tree=True))
+            solver.solve()
+            for node in solver.tree_nodes:
+                nodes += 1
+                conflicts, counts, total = detect_conflicts(node.paths)
+                assert set(node.conflicts) == set(conflicts)
+                assert node.x_counts == counts
+                assert node.x_total == total
+                if node.parent is None:
+                    continue
+                # the child extends exactly one agent's tuple and shares the
+                # others; a parent changed in place would share all of them
+                own, parent = node.constraints, node.parent.constraints
+                changed = [a for a in range(len(own)) if own[a] is not parent[a]]
+                assert len(changed) == 1
+                a = changed[0]
+                assert own[a][:-1] == parent[a]
+        assert nodes > 0
 
     def test_metrics_sanity(self):
         rng = random.Random(23)

@@ -110,6 +110,11 @@ class TestParseScenario:
         grid = open_grid(2, 2)
         assert parse_scenario(scen_text([(0, 0, 1, 1)], 2, 2), grid, 0) == []
 
+    def test_negative_k(self):
+        grid = open_grid(2, 2)
+        with pytest.raises(MapFormatError, match="negative"):
+            parse_scenario(scen_text([(0, 0, 1, 1)], 2, 2), grid, -1)
+
     def test_too_few_entries(self):
         grid = open_grid(2, 2)
         with pytest.raises(MapFormatError):
