@@ -13,7 +13,7 @@ from enum import IntEnum
 from .constraints import (Constraint, ConstraintTable, Path, edge_constraint,
                           length_gt, length_leq, range_constraint,
                           vertex_constraint)
-from .lowlevel import earliest_arrival
+from .lowlevel import compute_h, earliest_arrival
 from .map_io import Cell, GridMap
 
 
@@ -132,13 +132,26 @@ def _traversal(path: Path, corridor: Corridor) -> tuple[Cell, Cell, int] | None:
 
 
 class Classifier:
-    """Assigns priority classes; needs node context (paths, constraints)."""
+    """Assigns priority classes; needs node context (paths, constraints).
+
+    `dist` maps a cell to its static distance table (see `compute_h`); it is
+    shared with the owner, and tables for corridor exits are added on first
+    use.
+    """
 
     def __init__(self, grid: GridMap, symmetry: bool = True,
-                 prioritize: bool = True):
+                 prioritize: bool = True,
+                 dist: dict[Cell, dict[Cell, int]] | None = None):
         self.grid = grid
         self.symmetry = symmetry
         self.prioritize = prioritize
+        self.dist = dist if dist is not None else {}
+
+    def _h(self, cell: Cell) -> dict[Cell, int]:
+        table = self.dist.get(cell)
+        if table is None:
+            table = self.dist[cell] = compute_h(self.grid, cell)
+        return table
 
     def classify(self, conflict: Conflict, paths: list[Path],
                  constraints: list[tuple[Constraint, ...]],
@@ -187,12 +200,13 @@ class Classifier:
         tmins = []
         for agent, trav in ((c.a_i, trav_i), (c.a_j, trav_j)):
             ctable = ConstraintTable(agent, constraints[agent], targets=targets)
+            h = self._h(trav[1])
             detour = earliest_arrival(self.grid, ctable, paths[agent].cells[0],
-                                      trav[1], horizon, banned=banned)
+                                      trav[1], horizon, banned=banned, h=h)
             if detour is not None:
                 return None
             tmin = earliest_arrival(self.grid, ctable, paths[agent].cells[0],
-                                    trav[1], horizon)
+                                    trav[1], horizon, h=h)
             if tmin is None:
                 return None
             tmins.append(tmin)
@@ -229,7 +243,8 @@ class Classifier:
         path = paths[agent]
         return earliest_arrival(self.grid, ctable, path.cells[0],
                                 targets[agent], path.cost,
-                                arrive_ok=ctable.goal_arrival_ok) is None
+                                arrive_ok=ctable.goal_arrival_ok,
+                                h=self._h(targets[agent])) is None
 
 
 def split_constraint_for(agent: int, c: Conflict) -> Constraint:

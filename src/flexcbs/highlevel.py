@@ -192,9 +192,13 @@ class Solver:
         self.k = instance.num_agents
         self.targets = {a.id: a.target for a in instance.agents}
         self.starts = {a.id: a.start for a in instance.agents}
-        self.h = {a.id: compute_h(self.grid, a.target) for a in instance.agents}
+        # cell -> static distance table; agent targets now, corridor exits
+        # when the classifier first needs them
+        self.dist = {a.target: compute_h(self.grid, a.target)
+                     for a in instance.agents}
         self.classifier = Classifier(self.grid, symmetry=config.symmetry,
-                                     prioritize=config.prioritize)
+                                     prioritize=config.prioritize,
+                                     dist=self.dist)
         self._seq = 0
         self._ehat_sum = 0.0
         self._ehat_n = 0
@@ -218,9 +222,10 @@ class Solver:
 
     def _plan(self, agent: int, ctable: ConstraintTable, occupancy: Occupancy,
               delta: float, lb_parent: float):
+        goal = self.targets[agent]
         req = LowLevelRequest(
             grid=self.grid, agent=agent, start=self.starts[agent],
-            goal=self.targets[agent], h=self.h[agent], ctable=ctable,
+            goal=goal, h=self.dist[goal], ctable=ctable,
             occupancy=occupancy, w=self.config.w, delta=delta,
             lb_parent=lb_parent)
         search = fastar_search if self.config.low_level == "fastar" else focal_search
@@ -239,12 +244,13 @@ class Solver:
         paths: list[Path] = []
         costs: list[int] = []
         lbs: list[float] = []
+        occ = Occupancy([])  # the paths planned so far
         for agent in range(self.k):
             ctable = ConstraintTable(agent, [], targets=self.targets)
-            occ = Occupancy(paths)
             result = self._plan(agent, ctable, occ, delta=0.0, lb_parent=0.0)
             if result is None:
                 return None
+            occ.add(result.path)
             paths.append(result.path)
             costs.append(result.cost)
             lbs.append(result.lb)

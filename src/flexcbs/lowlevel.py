@@ -26,13 +26,15 @@ def compute_h(grid: GridMap, target: Cell) -> dict[Cell, int]:
     """Exact static shortest-path distance to target via backward BFS."""
     if not grid.is_passable(target):
         raise ValueError(f"target {target} is not passable")
+    moves = grid.moves
     dist = {target: 0}
     queue = deque([target])
     while queue:
         cur = queue.popleft()
-        for nb in grid.neighbors(cur):
+        d = dist[cur] + 1
+        for nb in moves[cur]:
             if nb not in dist:
-                dist[nb] = dist[cur] + 1
+                dist[nb] = d
                 queue.append(nb)
     return dist
 
@@ -45,16 +47,20 @@ class Occupancy:
         self.edge: dict[tuple[Cell, Cell, int], int] = {}
         self.parked: dict[Cell, int] = {}  # cell -> timestep parked from
         for p in paths:
-            cells = p.cells
-            for t, cell in enumerate(cells):
-                key = (cell, t)
-                self.vertex[key] = self.vertex.get(key, 0) + 1
-            for t in range(1, len(cells)):
-                if cells[t - 1] != cells[t]:
-                    key = (cells[t - 1], cells[t], t)
-                    self.edge[key] = self.edge.get(key, 0) + 1
-            park = self.parked.get(cells[-1])
-            self.parked[cells[-1]] = min(park, p.cost) if park is not None else p.cost
+            self.add(p)
+
+    def add(self, path: Path):
+        cells = path.cells
+        vertex, edge = self.vertex, self.edge
+        for t, cell in enumerate(cells):
+            key = (cell, t)
+            vertex[key] = vertex.get(key, 0) + 1
+        for t in range(1, len(cells)):
+            if cells[t - 1] != cells[t]:
+                key = (cells[t - 1], cells[t], t)
+                edge[key] = edge.get(key, 0) + 1
+        park = self.parked.get(cells[-1])
+        self.parked[cells[-1]] = min(park, path.cost) if park is not None else path.cost
 
     def step_conflicts(self, prev: Cell, cur: Cell, t: int) -> int:
         """Conflicts incurred by moving prev -> cur arriving at timestep t."""
@@ -120,7 +126,12 @@ def _search(req: LowLevelRequest, two_phase: bool) -> LowLevelResult | None:
     if ctable.infeasible or req.start not in h:
         return None
     horizon = req.effective_horizon()
-    earliest = ctable.earliest_goal
+    earliest, latest = ctable.earliest_goal, ctable.latest_goal
+    # h is consistent, so a state with t + h > latest and all its descendants
+    # reach the goal too late: fail now, or prune such states in expand()
+    if h[req.start] > latest or ctable.last_block_on(goal) >= latest:
+        return None
+    moves = grid.moves
 
     def f_of(v: Cell, t: int) -> float:
         return max(t + h[v], earliest)
@@ -149,8 +160,9 @@ def _search(req: LowLevelRequest, two_phase: bool) -> LowLevelResult | None:
         t2 = t + 1
         if t2 > horizon:
             return
-        for v2 in [v] + grid.neighbors(v):
-            if v2 not in h:
+        for v2 in moves[v]:
+            hv = h.get(v2)
+            if hv is None or t2 + hv > latest:
                 continue
             if ctable.is_blocked(v2, t2) or ctable.is_edge_blocked(v, v2, t2):
                 continue
@@ -266,25 +278,36 @@ def _any_arrival(_v: Cell, _t: int) -> bool:
 def earliest_arrival(grid: GridMap, ctable: ConstraintTable, start: Cell,
                      dest: Cell, horizon: int,
                      banned: frozenset[Cell] = frozenset(),
-                     arrive_ok: Callable[[Cell, int], bool] = _any_arrival
-                     ) -> int | None:
+                     arrive_ok: Callable[[Cell, int], bool] = _any_arrival,
+                     h: dict[Cell, int] | None = None) -> int | None:
     """Earliest timestep t <= horizon at which the agent can occupy dest with
     arrive_ok(dest, t) true, or None.
 
-    Plain time-expanded BFS under the constraint table; used for corridor
-    timing bounds and, with the goal-parking test as arrive_ok, for
-    cardinality probes. `banned` cells are excluded entirely.
+    Time-expanded BFS under the constraint table; used for corridor timing
+    bounds and, with the goal-parking test as arrive_ok, for cardinality
+    probes. `banned` cells are excluded entirely. `h` is the static distance
+    to dest (computed when None): a state with t + h > horizon cannot arrive
+    in time, even around banned cells, so it is never generated.
     """
-    if start in banned or ctable.is_blocked(start, 0):
+    if h is None:
+        h = compute_h(grid, dest)
+    h_start = h.get(start)
+    if (h_start is None or h_start > horizon or start in banned
+            or ctable.is_blocked(start, 0)):
         return None
     if start == dest and arrive_ok(dest, 0):
         return 0
+    moves = grid.moves
     frontier = {start}
     for t in range(1, horizon + 1):
         nxt = set()
+        slack = horizon - t
         for v in frontier:
-            for v2 in [v] + grid.neighbors(v):
+            for v2 in moves[v]:
                 if v2 in banned or v2 in nxt:
+                    continue
+                hv = h.get(v2)
+                if hv is None or hv > slack:
                     continue
                 if ctable.is_blocked(v2, t) or ctable.is_edge_blocked(v, v2, t):
                     continue

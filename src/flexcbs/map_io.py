@@ -28,12 +28,23 @@ class GridMap:
     height: int
     width: int
     passable: tuple[bool, ...]  # row-major, len == height * width
+    # passable cell -> (cell, *neighbors): the moves of one timestep, waiting
+    # first, then up/down/left/right; the order fixes search tie-breaking
+    moves: dict[Cell, tuple[Cell, ...]] = field(init=False, compare=False,
+                                                repr=False)
 
     def __post_init__(self):
         if self.height < 1 or self.width < 1:
             raise ValueError("map dimensions must be positive")
         if len(self.passable) != self.height * self.width:
             raise ValueError("passable length does not match dimensions")
+        moves = {}
+        for cell in self.passable_cells():
+            r, c = cell
+            moves[cell] = (cell, *(nb for nb in ((r - 1, c), (r + 1, c),
+                                                 (r, c - 1), (r, c + 1))
+                                   if self.is_passable(nb)))
+        object.__setattr__(self, "moves", moves)
 
     def in_bounds(self, cell: Cell) -> bool:
         r, c = cell
@@ -45,21 +56,17 @@ class GridMap:
 
     def neighbors(self, cell: Cell) -> list[Cell]:
         """Passable 4-neighbors of a passable cell, in up/down/left/right order."""
-        if not self.is_passable(cell):
+        moves = self.moves.get(cell)
+        if moves is None:
             raise ValueError(f"neighbors() called on blocked or out-of-bounds cell {cell}")
-        r, c = cell
-        out = []
-        for nb in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-            if self.is_passable(nb):
-                out.append(nb)
-        return out
+        return list(moves[1:])
 
     def passable_cells(self) -> list[Cell]:
         return [(r, c) for r in range(self.height) for c in range(self.width)
                 if self.passable[r * self.width + c]]
 
     def num_passable(self) -> int:
-        return sum(self.passable)
+        return len(self.moves)
 
     def degree(self, cell: Cell) -> int:
         return len(self.neighbors(cell))
@@ -110,11 +117,12 @@ class Instance:
     def _reachable(self, src: Cell, dst: Cell) -> bool:
         if src == dst:
             return True
+        moves = self.map.moves
         seen = {src}
         queue = deque([src])
         while queue:
             cur = queue.popleft()
-            for nb in self.map.neighbors(cur):
+            for nb in moves[cur]:
                 if nb == dst:
                     return True
                 if nb not in seen:

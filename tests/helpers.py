@@ -82,11 +82,15 @@ def random_walk_path(rng: random.Random, grid: GridMap, start: Cell,
 
 def brute_constrained_opt(grid: GridMap, constraints, agent: int, start: Cell,
                           goal: Cell, targets: dict[int, Cell],
-                          horizon: int) -> int | None:
+                          horizon: int, banned=frozenset(),
+                          park: bool = True) -> int | None:
     """Minimum feasible arrival time under the constraint semantics, found by
     direct timestep-by-timestep reachability, independent of the search code.
 
-    Returns None when no arrival at or before the horizon is feasible.
+    `banned` cells are never entered. With park=False an arrival only has to
+    occupy the goal; otherwise the agent must also be allowed to finish there
+    and stay forever. Returns None when no arrival at or before the horizon
+    is feasible.
     """
     vertex: set[tuple[Cell, int]] = set()
     edges: set[tuple[Cell, Cell, int]] = set()
@@ -120,9 +124,9 @@ def brute_constrained_opt(grid: GridMap, constraints, agent: int, start: Cell,
             return True
         return t >= blocked_from.get(v, never)
 
-    if blocked(start, 0):
+    if start in banned or blocked(start, 0):
         return None
-    if goal in blocked_from:
+    if park and goal in blocked_from:
         return None
     last_goal_block = range_ub.get(goal, -1)
     for (v, t) in vertex:
@@ -130,7 +134,7 @@ def brute_constrained_opt(grid: GridMap, constraints, agent: int, start: Cell,
             last_goal_block = max(last_goal_block, t)
 
     def arrival_ok(t: int) -> bool:
-        return earliest <= t <= latest and t > last_goal_block
+        return not park or (earliest <= t <= latest and t > last_goal_block)
 
     if start == goal and arrival_ok(0):
         return 0
@@ -139,7 +143,7 @@ def brute_constrained_opt(grid: GridMap, constraints, agent: int, start: Cell,
         nxt = set()
         for v in reach:
             for v2 in [v] + grid.neighbors(v):
-                if blocked(v2, t) or (v, v2, t) in edges:
+                if v2 in banned or blocked(v2, t) or (v, v2, t) in edges:
                     continue
                 nxt.add(v2)
         if goal in nxt and arrival_ok(t):

@@ -1,12 +1,16 @@
 import random
+import time
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from flexcbs.constraints import (ConstraintTable, Path, edge_constraint,
                                  length_gt, length_leq, range_constraint,
                                  vertex_constraint)
 from flexcbs.lowlevel import (LowLevelRequest, Occupancy, compute_h,
                               earliest_arrival, fastar_search, focal_search)
+from flexcbs.map_io import GridMap
 from helpers import (brute_constrained_opt, grid_from_rows, open_grid,
                      random_grid, random_walk_path)
 
@@ -37,6 +41,26 @@ class TestComputeH:
 
 
 class TestOccupancy:
+    def test_incremental_build_matches_batch(self):
+        rng = random.Random(4)
+        grid = open_grid(4, 4)
+        cells = grid.passable_cells()
+        paths = [random_walk_path(rng, grid, rng.choice(cells),
+                                  rng.randint(0, 8), agent=a)
+                 for a in range(6)]
+        # parks where agent 0 parks, but later: the earlier time must stay
+        paths.append(Path(6, paths[0].cells + paths[0].cells[-1:] * 3))
+        occ = Occupancy([])
+        for p in paths:
+            occ.add(p)
+        batch = Occupancy(paths)
+        assert occ.vertex == batch.vertex
+        assert occ.edge == batch.edge
+        assert occ.parked == batch.parked
+        cell = paths[0].cells[-1]
+        assert occ.parked[cell] == min(p.cost for p in paths
+                                       if p.cells[-1] == cell)
+
     def test_vertex_conflict_counted(self):
         other = Path(1, ((0, 0), (0, 1), (0, 2)))
         occ = Occupancy([other])
@@ -264,3 +288,117 @@ class TestEarliestArrival:
         grid = open_grid(1, 5)
         assert earliest_arrival(grid, ConstraintTable(0, []), (0, 0), (0, 4),
                                 3) is None
+
+
+class TestFailFast:
+    # Each infeasible search below must answer within this many seconds
+    # (with the distance prune they take under 1 ms); sweeping the whole
+    # time-expanded 32x32 graph instead takes 25-35 s.
+    SLACK_S = 1.0
+
+    def timed(self, search, req):
+        t0 = time.perf_counter()
+        res = search(req)
+        return res, time.perf_counter() - t0
+
+    @pytest.mark.parametrize("search", [focal_search, fastar_search])
+    def test_length_leq_below_distance(self, search):
+        req = make_request(open_grid(32, 32), (0, 0), (31, 31),
+                           [length_leq(0, 10)])
+        res, elapsed = self.timed(search, req)
+        assert res is None
+        assert elapsed < self.SLACK_S
+
+    @pytest.mark.parametrize("search", [focal_search, fastar_search])
+    def test_goal_blocked_forever_by_other_agent(self, search):
+        req = make_request(open_grid(32, 32), (0, 0), (31, 31),
+                           [length_leq(1, 5)], targets={1: (31, 31)})
+        res, elapsed = self.timed(search, req)
+        assert res is None
+        assert elapsed < self.SLACK_S
+
+    @pytest.mark.parametrize("search", [focal_search, fastar_search])
+    def test_feasible_length_leq_keeps_optimum(self, search):
+        # the wait the vertex constraint forces is avoided by going down
+        # first, so the optimum stays the distance of 62
+        cs = [length_leq(0, 70), vertex_constraint(0, (0, 1), 1)]
+        req = make_request(open_grid(32, 32), (0, 0), (31, 31), cs)
+        res, elapsed = self.timed(search, req)
+        assert res.cost == 62
+        assert res.lb == 62
+        assert elapsed < self.SLACK_S
+
+
+@st.composite
+def constrained_problems(draw):
+    """A small grid, start and goal, and constraints on agent 0 and on
+    others (agent 1's LENGTH_LEQ blocks its target for agent 0)."""
+    height, width = draw(st.integers(1, 4)), draw(st.integers(2, 5))
+    passable = draw(st.lists(st.integers(0, 3).map(bool),
+                             min_size=height * width, max_size=height * width))
+    grid = GridMap(height, width, tuple(passable))
+    cells = grid.passable_cells()
+    assume(len(cells) >= 2)
+    cell = st.sampled_from(cells)
+    start, goal = draw(cell), draw(cell)
+    step = st.integers(0, 8)
+    edge = cell.flatmap(lambda v: st.builds(
+        edge_constraint, st.just(0), st.sampled_from(grid.moves[v]),
+        st.just(v), st.integers(1, 8)))
+    constraint = st.one_of(
+        st.builds(vertex_constraint, st.sampled_from([0, 2]), cell, step),
+        edge,
+        st.builds(range_constraint, st.just(0), cell, st.integers(0, 4)),
+        st.builds(length_gt, st.just(0), st.integers(0, 6)),
+        st.builds(length_leq, st.just(0), st.integers(0, 12)),
+        st.builds(length_leq, st.just(1), st.integers(0, 8)))
+    cs = draw(st.lists(constraint, max_size=5))
+    targets = {1: draw(cell)}
+    return grid, cells, start, goal, cs, targets
+
+
+@st.composite
+def walks(draw, grid, cells):
+    cur = [draw(st.sampled_from(cells))]
+    for i in draw(st.lists(st.integers(0, 4), max_size=6)):
+        moves = grid.moves[cur[-1]]
+        cur.append(moves[i % len(moves)])
+    return Path(9, tuple(cur))
+
+
+class TestPrunedSweepsMatchBrute:
+    """The distance prunes are exact: results equal brute-force reachability."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(problem=constrained_problems(), horizon=st.integers(0, 14),
+           goal_test=st.booleans(), data=st.data())
+    def test_earliest_arrival(self, problem, horizon, goal_test, data):
+        grid, cells, start, goal, cs, targets = problem
+        banned = frozenset(data.draw(st.lists(st.sampled_from(cells),
+                                              max_size=3)))
+        table = ConstraintTable(0, cs, targets=targets)
+        kwargs = {"arrive_ok": table.goal_arrival_ok} if goal_test else {}
+        got = earliest_arrival(grid, table, start, goal, horizon,
+                               banned=banned, **kwargs)
+        brute = brute_constrained_opt(grid, cs, 0, start, goal, targets,
+                                      horizon, banned=banned, park=goal_test)
+        assert got == brute
+
+    @settings(max_examples=150, deadline=None)
+    @given(problem=constrained_problems(), data=st.data(),
+           w=st.sampled_from([1.0, 1.2, 2.0]),
+           delta=st.sampled_from([0.0, 2.0]))
+    def test_search_lb_is_constrained_optimum(self, problem, data, w, delta):
+        grid, cells, start, goal, cs, targets = problem
+        others = data.draw(st.lists(walks(grid, cells), max_size=2))
+        req = make_request(grid, start, goal, cs, others=others, w=w,
+                           delta=delta, targets=targets)
+        brute = brute_constrained_opt(grid, cs, 0, start, goal, targets,
+                                      req.effective_horizon())
+        fres = fastar_search(req)
+        sres = focal_search(req)
+        assert (fres is None) == (brute is None)
+        assert (sres is None) == (brute is None)
+        if brute is not None:
+            assert fres.lb == brute
+            assert sres.lb <= brute <= sres.cost
