@@ -7,7 +7,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .cli import UsageParser, agent_count
+from .cli import (UsageParser, factor_at_least_one, positive_int,
+                  positive_seconds)
 from .flex import FlexMode
 from .highlevel import RunMetrics, SolverConfig, Solver
 from .map_io import load_instance
@@ -106,7 +107,7 @@ class BenchSpec:
     def __post_init__(self):
         if not self.map_path or not self.scen_paths:
             raise ValueError("map and at least one scenario are required")
-        if any(w < 1.0 for w in self.w_values):
+        if not all(w >= 1.0 for w in self.w_values):  # also rejects NaN
             raise ValueError("all w values must be >= 1")
 
 
@@ -240,13 +241,14 @@ def main(argv=None) -> int:
                      description="Run a MAPF benchmark sweep")
     ap.add_argument("--map", required=True)
     ap.add_argument("--scen", required=True, nargs="+")
-    ap.add_argument("--agents", required=True, nargs="+", type=agent_count)
-    ap.add_argument("--suboptimality", nargs="+", type=float, default=[1.05])
+    ap.add_argument("--agents", required=True, nargs="+", type=positive_int)
+    ap.add_argument("--suboptimality", nargs="+", type=factor_at_least_one,
+                    default=[1.05])
     ap.add_argument("--flex", nargs="+", default=["none"],
                     choices=[m.value for m in FlexMode])
     ap.add_argument("--lowlevel", default="focal", choices=["focal", "fastar"])
-    ap.add_argument("--time-limit", type=float, default=60.0)
-    ap.add_argument("--repetitions", type=int, default=1)
+    ap.add_argument("--time-limit", type=positive_seconds, default=60.0)
+    ap.add_argument("--repetitions", type=positive_int, default=1)
     ap.add_argument("--out-csv", default="results.csv")
     ap.add_argument("--out-summary", default=None)
     ap.add_argument("--out-plots", default=None)

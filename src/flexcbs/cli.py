@@ -26,20 +26,36 @@ class UsageParser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def agent_count(text: str) -> int:
-    """argparse type for --agents: an integer of at least 1."""
+def positive_int(text: str) -> int:
+    """argparse type for --agents and --repetitions: an integer of at least 1."""
     k = int(text)
     if k < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {k}")
     return k
 
 
+def factor_at_least_one(text: str) -> float:
+    """argparse type for --suboptimality: a number of at least 1, not NaN."""
+    w = float(text)
+    if not w >= 1.0:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return w
+
+
+def positive_seconds(text: str) -> float:
+    """argparse type for --time-limit: seconds above 0, not NaN."""
+    seconds = float(text)
+    if not seconds > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return seconds
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = UsageParser(prog="flexcbs", description="Bounded-suboptimal MAPF solver")
     ap.add_argument("--map", required=True, help="MovingAI .map file")
     ap.add_argument("--scen", required=True, help="MovingAI .scen file")
-    ap.add_argument("--agents", required=True, type=agent_count)
-    ap.add_argument("--suboptimality", type=float, default=1.05)
+    ap.add_argument("--agents", required=True, type=positive_int)
+    ap.add_argument("--suboptimality", type=factor_at_least_one, default=1.05)
     ap.add_argument("--flex", default="none",
                     choices=[m.value for m in FlexMode])
     ap.add_argument("--lowlevel", default="focal", choices=["focal", "fastar"])
@@ -49,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
                     default=True)
     ap.add_argument("--symmetry", action=argparse.BooleanOptionalAction,
                     default=True)
-    ap.add_argument("--time-limit", type=float, default=60.0)
+    ap.add_argument("--time-limit", type=positive_seconds, default=60.0)
     ap.add_argument("--out", default=None, help="solution output path")
     return ap
 
@@ -79,10 +95,6 @@ def metrics_dict(metrics) -> dict:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.suboptimality < 1.0:
-        ap.error("--suboptimality must be >= 1")
-    if args.time_limit <= 0:
-        ap.error("--time-limit must be positive")
     try:
         instance = load_instance(args.map, args.scen, args.agents)
     except (MapFormatError, InstanceError, OSError) as exc:

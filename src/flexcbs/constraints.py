@@ -1,10 +1,12 @@
-"""Paths, constraints, the per-search constraint table, and delay estimation."""
+"""Paths, conflicts, constraints, the per-search constraint table, and delay
+estimation."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
+from enum import Enum, IntEnum
+from operator import attrgetter
 
 from .map_io import Cell
 
@@ -23,6 +25,44 @@ class Path:
     def at(self, t: int) -> Cell:
         """Position at timestep t; a finished agent parks at its last cell."""
         return self.cells[t] if t < len(self.cells) else self.cells[-1]
+
+
+class ConflictClass(IntEnum):
+    """Priority classes; lower value = resolved first."""
+    TARGET = 0
+    CORRIDOR = 1
+    CARDINAL = 2
+    SEMI_CARDINAL = 3
+    NON_CARDINAL = 4
+    UNCLASSIFIED = 5
+
+
+@dataclass(frozen=True)
+class Conflict:
+    a_i: int
+    a_j: int
+    v: Cell            # conflict vertex (destination of a_i for edge conflicts)
+    t: int
+    u: Cell | None = None  # origin of a_i's move for edge conflicts
+    cls: ConflictClass = ConflictClass.UNCLASSIFIED
+    # target-conflict data: the agent whose target is contested
+    target_agent: int | None = None
+    # corridor-conflict data
+    exit_i: Cell | None = None
+    exit_j: Cell | None = None
+    t_min_i: int | None = None
+    t_min_j: int | None = None
+
+    @property
+    def is_edge(self) -> bool:
+        return self.u is not None
+
+    def sort_key(self):
+        return (int(self.cls), self.t, min(self.a_i, self.a_j),
+                max(self.a_i, self.a_j))
+
+
+BY_PAIR = attrgetter("a_i", "a_j", "t")  # the order conflict lists are kept in
 
 
 class ConstraintKind(Enum):
@@ -92,6 +132,9 @@ class ConstraintTable:
         self.earliest_goal = 0
         self.latest_goal = INF
         self.latest_constraint_t = 0
+        # every cell some constraint bars the agent from entering: no other
+        # cell is ever blocked, so callers may skip the probes for the rest
+        self.guarded: set[Cell] = set()
         targets = targets or {}
         for c in constraints:
             if c.kind in (ConstraintKind.VERTEX, ConstraintKind.EDGE,
@@ -100,12 +143,15 @@ class ConstraintTable:
                     continue
             if c.kind is ConstraintKind.VERTEX:
                 self._vertex.add((c.v, c.t))
+                self.guarded.add(c.v)
                 self.latest_constraint_t = max(self.latest_constraint_t, c.t)
             elif c.kind is ConstraintKind.EDGE:
                 self._edge.add((c.u, c.v, c.t))
+                self.guarded.add(c.v)
                 self.latest_constraint_t = max(self.latest_constraint_t, c.t)
             elif c.kind is ConstraintKind.RANGE:
                 self._range_ub[c.v] = max(self._range_ub.get(c.v, -1), c.t)
+                self.guarded.add(c.v)
                 self.latest_constraint_t = max(self.latest_constraint_t, c.t)
             elif c.kind is ConstraintKind.LENGTH_GT:
                 self.earliest_goal = max(self.earliest_goal, c.t + 1)
@@ -118,6 +164,7 @@ class ConstraintTable:
                     if tgt is not None:
                         prev = self._blocked_from.get(tgt, INF)
                         self._blocked_from[tgt] = min(prev, c.t)
+                        self.guarded.add(tgt)
                 self.latest_constraint_t = max(self.latest_constraint_t, c.t)
 
     @property

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 
 from . import flex as flexmod
 from .conflicts import (Classifier, Conflict, ConflictClass, conflict_counts,
-                        detect_conflicts, pair_conflicts, pick_conflict,
-                        split_conflict)
+                        detect_conflicts, pick_conflict, split_conflict)
 from .constraints import (Constraint, ConstraintKind, ConstraintTable, Path,
                           estimate_delays)
 from .flex import FlexMode
@@ -42,11 +41,11 @@ class SolverConfig:
     keep_tree: bool = False  # retain all generated CT nodes for inspection
 
     def __post_init__(self):
-        if self.w < 1.0:
+        if not self.w >= 1.0:  # also rejects NaN
             raise ValueError("suboptimality factor must be >= 1")
         if self.low_level not in ("focal", "fastar"):
             raise ValueError(f"unknown low-level variant {self.low_level!r}")
-        if self.time_limit <= 0:
+        if not self.time_limit > 0:  # also rejects NaN
             raise ValueError("time limit must be positive")
         if isinstance(self.flex_mode, str):
             self.flex_mode = FlexMode(self.flex_mode)
@@ -199,6 +198,9 @@ class Solver:
         self.classifier = Classifier(self.grid, symmetry=config.symmetry,
                                      prioritize=config.prioritize,
                                      dist=self.dist)
+        # the paths of the CT node being worked on, but for the agent being
+        # replanned; built by make_root, moved between nodes by _sync
+        self.occ: Occupancy | None = None
         self._seq = 0
         self._ehat_sum = 0.0
         self._ehat_n = 0
@@ -219,6 +221,22 @@ class Solver:
                 continue
             rel.extend(c for c in cs if c.kind is ConstraintKind.LENGTH_LEQ)
         return rel
+
+    def _sync(self, paths: list[Path], skip: int):
+        """Make self.occ index paths[m] for every agent m but skip.
+
+        CT nodes share unchanged paths by reference, so only the paths that
+        differ from the indexed ones are removed and added.
+        """
+        occ = self.occ
+        for m, path in enumerate(paths):
+            held = occ.held.get(m)
+            want = path if m != skip else None
+            if held is not want:
+                if held is not None:
+                    occ.remove(held)
+                if want is not None:
+                    occ.add(want)
 
     def _plan(self, agent: int, ctable: ConstraintTable, occupancy: Occupancy,
               delta: float, lb_parent: float):
@@ -244,7 +262,7 @@ class Solver:
         paths: list[Path] = []
         costs: list[int] = []
         lbs: list[float] = []
-        occ = Occupancy([])  # the paths planned so far
+        occ = self.occ = Occupancy([])  # the paths planned so far
         for agent in range(self.k):
             ctable = ConstraintTable(agent, [], targets=self.targets)
             result = self._plan(agent, ctable, occ, delta=0.0, lb_parent=0.0)
@@ -330,13 +348,13 @@ class Solver:
             ctable = ConstraintTable(r, rel, targets=self.targets)
             if ctable.infeasible:
                 return None
-            others = [paths[m] for m in range(self.k) if m != r]
-            occ = Occupancy(others)
+            self._sync(paths, skip=r)
             delay_sum = estimate_delays(rel, r, parent.paths[r],
                                         parent.costs[r])
             fc = self._compute_flex(lbs, costs, r, parent, delay_sum, frontier)
             delta = fc.delta if fc is not None else 0.0
-            result = self._plan(r, ctable, occ, delta=delta, lb_parent=lbs[r])
+            result = self._plan(r, ctable, self.occ, delta=delta,
+                                lb_parent=lbs[r])
             if result is None:
                 return None
             paths[r] = result.path
@@ -347,10 +365,7 @@ class Solver:
                 (delta, usage, fc is None or fc.delta_max >= 0))
             # incremental conflict update for the replanned agent
             conflicts = [c for c in conflicts if r not in (c.a_i, c.a_j)]
-            for m in range(self.k):
-                if m != r:
-                    i, j = min(r, m), max(r, m)
-                    conflicts.extend(pair_conflicts(i, j, paths[i], paths[j]))
+            conflicts.extend(self.occ.conflicts_with(result.path))
         child = CTNode(constraints=constraints, paths=paths, costs=costs,
                        lbs=lbs, conflicts=conflicts,
                        x_counts=conflict_counts(conflicts, self.k),

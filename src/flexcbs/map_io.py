@@ -6,7 +6,6 @@ converted on ingestion so the rest of the code only ever sees (row, col).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 Cell = tuple[int, int]
@@ -109,26 +108,29 @@ class Instance:
                 raise InstanceError(f"agent {idx}: duplicate target {agent.target}")
             starts.add(agent.start)
             targets.add(agent.target)
-        for agent in self.agents:
-            if not self._reachable(agent.start, agent.target):
-                raise InstanceError(
-                    f"agent {agent.id}: target {agent.target} unreachable from {agent.start}")
+        if self.agents:
+            component = self._components()
+            for agent in self.agents:
+                if component[agent.start] != component[agent.target]:
+                    raise InstanceError(
+                        f"agent {agent.id}: target {agent.target} unreachable from {agent.start}")
 
-    def _reachable(self, src: Cell, dst: Cell) -> bool:
-        if src == dst:
-            return True
+    def _components(self) -> dict[Cell, int]:
+        """Passable cell -> label of its connected component."""
         moves = self.map.moves
-        seen = {src}
-        queue = deque([src])
-        while queue:
-            cur = queue.popleft()
-            for nb in moves[cur]:
-                if nb == dst:
-                    return True
-                if nb not in seen:
-                    seen.add(nb)
-                    queue.append(nb)
-        return False
+        label: dict[Cell, int] = {}
+        for root in moves:
+            if root in label:
+                continue
+            # a fresh label: the number of cells labelled so far
+            mark = label[root] = len(label)
+            stack = [root]
+            while stack:
+                for nb in moves[stack.pop()]:
+                    if nb not in label:
+                        label[nb] = mark
+                        stack.append(nb)
+        return label
 
     @property
     def num_agents(self) -> int:

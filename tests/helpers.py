@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import random
 
-from flexcbs.constraints import ConstraintKind, Path
+from flexcbs.constraints import Conflict, ConstraintKind, Path
 from flexcbs.map_io import AgentSpec, Cell, GridMap, Instance
 
 
@@ -78,6 +78,30 @@ def random_walk_path(rng: random.Random, grid: GridMap, start: Cell,
         options = [cells[-1]] + grid.neighbors(cells[-1])
         cells.append(rng.choice(options))
     return Path(agent, tuple(cells))
+
+
+def brute_pair_conflicts(i: int, j: int, pi: Path, pj: Path) -> list[Conflict]:
+    """Vertex/edge conflicts between agents i < j, with target permanence,
+    by a direct timestep-by-timestep scan of the two paths."""
+    out = []
+    prev_i, prev_j = pi.at(0), pj.at(0)
+    if prev_i == prev_j:
+        out.append(Conflict(i, j, prev_i, 0))
+    for t in range(1, max(pi.cost, pj.cost) + 1):
+        ci, cj = pi.at(t), pj.at(t)
+        if ci == cj:
+            out.append(Conflict(i, j, ci, t))
+        elif ci == prev_j and cj == prev_i and ci != prev_i:
+            out.append(Conflict(i, j, ci, t, u=prev_i))
+        prev_i, prev_j = ci, cj
+    return out
+
+
+def occupancy_state(occ) -> tuple:
+    """An Occupancy's vertex, edge and parked tables, with the agents under
+    each key sorted, so indexes built in different orders compare equal."""
+    return ({k: sorted(v) for k, v in occ.vertex.items()},
+            {k: sorted(v) for k, v in occ.edge.items()}, occ.parked)
 
 
 def brute_constrained_opt(grid: GridMap, constraints, agent: int, start: Cell,

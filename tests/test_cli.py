@@ -41,6 +41,16 @@ class TestUsageErrors:
             main(base_args(files) + ["--time-limit", "0"])
         assert exc.value.code == 64
 
+    def test_nan_suboptimality(self, files):
+        with pytest.raises(SystemExit) as exc:
+            main(base_args(files) + ["--suboptimality", "nan"])
+        assert exc.value.code == 64
+
+    def test_nan_time_limit(self, files):
+        with pytest.raises(SystemExit) as exc:
+            main(base_args(files) + ["--time-limit", "nan"])
+        assert exc.value.code == 64
+
     def test_unknown_flex_mode(self, files):
         with pytest.raises(SystemExit) as exc:
             main(base_args(files) + ["--flex", "turbo"])
@@ -102,3 +112,21 @@ class TestSolveRuns:
         rc = main(base_args(files) + ["--time-limit", "0.000001"])
         assert rc == 1
         assert json.loads(capsys.readouterr().out)["outcome"] == "timeout"
+
+
+class TestBenchUsageErrors:
+    @pytest.mark.parametrize("args", [
+        ["--suboptimality", "0.9"],
+        ["--suboptimality", "1.05", "nan"],
+        ["--time-limit", "0"],
+        ["--time-limit", "nan"],
+        ["--repetitions", "0"],
+    ])
+    def test_rejected_with_usage_exit(self, files, tmp_path, args):
+        map_path, scen_path = files
+        with pytest.raises(SystemExit) as exc:
+            bench.main(["--map", map_path, "--scen", scen_path,
+                        "--agents", "2", "--out-csv",
+                        str(tmp_path / "r.csv")] + args)
+        assert exc.value.code == 64
+        assert not (tmp_path / "r.csv").exists()

@@ -1,13 +1,17 @@
 import random
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 from flexcbs.conflicts import (Classifier, Conflict, ConflictClass,
                                detect_conflicts, find_corridor, pick_conflict,
                                split_conflict, split_constraint_for)
 from flexcbs.constraints import (ConstraintKind, ConstraintTable, Path,
                                  vertex_constraint)
-from flexcbs.lowlevel import earliest_arrival
-from helpers import (brute_constrained_opt, grid_from_rows, open_grid,
-                     random_grid, random_walk_path)
+from flexcbs.lowlevel import Occupancy, earliest_arrival
+from flexcbs.map_io import GridMap
+from helpers import (brute_constrained_opt, brute_pair_conflicts,
+                     grid_from_rows, open_grid, random_grid, random_walk_path)
 
 
 class TestDetectConflicts:
@@ -58,6 +62,54 @@ class TestDetectConflicts:
                      for i in range(3)]
             _, counts, total = detect_conflicts(paths)
             assert sum(counts) == 2 * total
+
+
+@st.composite
+def path_sets(draw):
+    """Random walks of unequal lengths on a tiny random grid: starts clash,
+    agents swap, and finished agents park where others pass later."""
+    height, width = draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    passable = draw(st.lists(st.integers(0, 3).map(bool),
+                             min_size=height * width, max_size=height * width))
+    grid = GridMap(height, width, tuple(passable))
+    cells = grid.passable_cells()
+    assume(cells)
+    paths = []
+    for agent in range(draw(st.integers(1, 5))):
+        cur = [draw(st.sampled_from(cells))]
+        for i in draw(st.lists(st.integers(0, 4), max_size=7)):
+            moves = grid.moves[cur[-1]]
+            cur.append(moves[i % len(moves)])
+        paths.append(Path(agent, tuple(cur)))
+    return paths
+
+
+def brute_against(a, paths):
+    """brute_pair_conflicts of agent a against every other agent."""
+    return [c for b in range(len(paths)) if b != a
+            for c in brute_pair_conflicts(min(a, b), max(a, b),
+                                          paths[min(a, b)], paths[max(a, b)])]
+
+
+class TestIndexMatchesPairScan:
+    """The space-time index lists exactly the conflicts of a pairwise scan."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(paths=path_sets(), data=st.data())
+    def test_detect_and_conflicts_with(self, paths, data):
+        k = len(paths)
+        brute = [c for i in range(k) for j in range(i + 1, k)
+                 for c in brute_pair_conflicts(i, j, paths[i], paths[j])]
+        conflicts, counts, total = detect_conflicts(paths)
+        # equal lists: same conflicts with the same v and u, in
+        # (a_i, a_j, t) order
+        assert conflicts == brute
+        assert total == len(brute)
+        assert sum(counts) == 2 * total
+        a = data.draw(st.integers(0, k - 1))
+        others = [p for p in paths if p.agent != a]
+        assert Occupancy(others).conflicts_with(paths[a]) == \
+            brute_against(a, paths)
 
 
 class TestFindCorridor:

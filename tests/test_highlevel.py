@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -5,9 +6,11 @@ import pytest
 from flexcbs.conflicts import detect_conflicts
 from flexcbs.flex import FlexMode
 from flexcbs.highlevel import Solver, SolverConfig, solve
+from flexcbs.lowlevel import Occupancy
 from flexcbs.map_io import AgentSpec, Instance
 from flexcbs.oracle import optimal_soc, validate
-from helpers import grid_from_rows, open_grid, random_instance, swap_instance
+from helpers import (grid_from_rows, occupancy_state, open_grid,
+                     random_instance, swap_instance)
 
 ALL_MODES = list(FlexMode)
 LOW_LEVELS = ["focal", "fastar"]
@@ -38,6 +41,14 @@ class TestSolverConfig:
     def test_nonpositive_time_limit_rejected(self):
         with pytest.raises(ValueError):
             SolverConfig(time_limit=0.0)
+
+    def test_nan_w_rejected(self):
+        with pytest.raises(ValueError):
+            SolverConfig(w=math.nan)
+
+    def test_nan_time_limit_rejected(self):
+        with pytest.raises(ValueError):
+            SolverConfig(time_limit=math.nan)
 
 
 class TestSolveSwap:
@@ -175,6 +186,52 @@ class TestTreeInvariants:
                 a = changed[0]
                 assert own[a][:-1] == parent[a]
         assert nodes > 0
+
+    @pytest.mark.parametrize("low_level", LOW_LEVELS)
+    def test_every_replan_sees_the_other_paths(self, low_level, monkeypatch):
+        """The one index the Solver moves between CT nodes holds exactly the
+        paths a from-scratch Occupancy of the other agents would."""
+        plan, root, child = Solver._plan, Solver.make_root, Solver.make_child
+        current: dict[int, object] = {}  # agent -> path in the node being built
+        node = {"child": False, "replans": 0}
+        seen = {"children": 0, "later_replans": 0}
+
+        def spy_root(self):
+            current.clear()
+            node.update(child=False, replans=0)
+            return root(self)
+
+        def spy_child(self, parent, *args, **kwargs):
+            current.clear()
+            current.update(enumerate(parent.paths))
+            node.update(child=True, replans=0)
+            seen["children"] += 1
+            return child(self, parent, *args, **kwargs)
+
+        def spy_plan(self, agent, ctable, occupancy, **kwargs):
+            others = [p for m, p in current.items() if m != agent]
+            assert occupancy_state(occupancy) == \
+                occupancy_state(Occupancy(others))
+            if node["child"] and node["replans"]:
+                seen["later_replans"] += 1
+            result = plan(self, agent, ctable, occupancy, **kwargs)
+            if result is not None:
+                current[agent] = result.path
+                node["replans"] += 1
+            return result
+
+        monkeypatch.setattr(Solver, "_plan", spy_plan)
+        monkeypatch.setattr(Solver, "make_root", spy_root)
+        monkeypatch.setattr(Solver, "make_child", spy_child)
+        rng = random.Random(26)
+        for _ in range(8):
+            inst = random_instance(rng, 6, 6, 6)
+            solve(inst, SolverConfig(w=1.05, flex_mode=FlexMode.MFD,
+                                     low_level=low_level, time_limit=0.5))
+        # every second child starts from its sibling's index; a LENGTH_LEQ
+        # child can replan several agents, each seeing the ones before
+        assert seen["children"] > 50
+        assert seen["later_replans"] >= 1
 
     def test_metrics_sanity(self):
         rng = random.Random(23)

@@ -11,8 +11,8 @@ from flexcbs.constraints import (ConstraintTable, Path, edge_constraint,
 from flexcbs.lowlevel import (LowLevelRequest, Occupancy, compute_h,
                               earliest_arrival, fastar_search, focal_search)
 from flexcbs.map_io import GridMap
-from helpers import (brute_constrained_opt, grid_from_rows, open_grid,
-                     random_grid, random_walk_path)
+from helpers import (brute_constrained_opt, grid_from_rows, occupancy_state,
+                     open_grid, random_grid, random_walk_path)
 
 
 def make_request(grid, start, goal, constraints=(), others=(), w=1.0,
@@ -60,6 +60,52 @@ class TestOccupancy:
         cell = paths[0].cells[-1]
         assert occ.parked[cell] == min(p.cost for p in paths
                                        if p.cells[-1] == cell)
+
+    def test_removing_every_path_empties_the_index(self):
+        rng = random.Random(5)
+        grid = open_grid(4, 4)
+        cells = grid.passable_cells()
+        paths = [random_walk_path(rng, grid, rng.choice(cells),
+                                  rng.randint(0, 8), agent=a)
+                 for a in range(6)]
+        occ = Occupancy(paths)
+        assert occ.vertex and occ.parked
+        for p in reversed(paths[::2]):
+            occ.remove(p)
+        for p in paths[1::2]:
+            occ.remove(p)
+        assert occ.vertex == {} and occ.edge == {} and occ.parked == {}
+        assert occ.ends == {} and occ.held == {}
+
+    def test_interleaved_add_and_remove_match_batch(self):
+        rng = random.Random(6)
+        grid = open_grid(3, 4)
+        cells = grid.passable_cells()
+        current = {}
+        occ = Occupancy([])
+        shared_ends = 0
+        for _ in range(200):
+            a = rng.randrange(6)
+            if a in current:
+                occ.remove(current.pop(a))
+            if rng.random() < 0.3:
+                continue
+            if current and rng.random() < 0.4:
+                # end where another indexed path ends, later or earlier
+                other = rng.choice(list(current.values())).cells
+                p = Path(a, rng.choice([other + other[-1:] * rng.randint(0, 3),
+                                        other[-1:] * rng.randint(1, 3)]))
+            else:
+                p = random_walk_path(rng, grid, rng.choice(cells),
+                                     rng.randint(0, 6), agent=a)
+            occ.add(p)
+            current[a] = p
+            ends = [q.cells[-1] for q in current.values()]
+            shared_ends += len(ends) > len(set(ends))
+            batch = Occupancy(list(current.values()))
+            assert occupancy_state(occ) == occupancy_state(batch)
+            assert occ.held == current
+        assert shared_ends > 20
 
     def test_vertex_conflict_counted(self):
         other = Path(1, ((0, 0), (0, 1), (0, 2)))
