@@ -5,13 +5,15 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
-from .cli import (UsageParser, factor_at_least_one, positive_int,
+from .cli import (EXIT_USAGE, UsageParser, factor_at_least_one, positive_int,
                   positive_seconds)
 from .flex import FlexMode
 from .highlevel import RunMetrics, SolverConfig, Solver
-from .map_io import load_instance
+from .map_io import (Instance, InstanceError, MapFormatError, parse_map,
+                     parse_scenario)
 from .oracle import validate
 
 CSV_SCHEMA_COMMENT = "# flexcbs results schema v1"
@@ -111,7 +113,26 @@ class BenchSpec:
             raise ValueError("all w values must be >= 1")
 
 
+def _load_sweep(spec: BenchSpec) -> list[tuple[str, int, Instance]]:
+    """(scenario path, k, instance) for every instance of the sweep, in run
+    order; all share one parsed map. Raises OSError, MapFormatError or
+    InstanceError on a bad input file."""
+    with open(spec.map_path) as f:
+        grid = parse_map(f.read())
+    sweep = []
+    for scen in spec.scen_paths:
+        with open(scen) as f:
+            text = f.read()
+        for k in spec.agent_counts:
+            agents = parse_scenario(text, grid, k)
+            sweep.append((scen, k, Instance(grid, tuple(agents))))
+    return sweep
+
+
 def run_benchmark(spec: BenchSpec) -> list[ResultRow]:
+    # every input is checked before the CSV is opened, so a bad file leaves
+    # no partial results behind
+    sweep = _load_sweep(spec)
     rows = []
     writer = None
     csv_file = None
@@ -121,33 +142,30 @@ def run_benchmark(spec: BenchSpec) -> list[ResultRow]:
         writer = csv.writer(csv_file)
         writer.writerow(CSV_COLUMNS)
     try:
-        for scen in spec.scen_paths:
-            for k in spec.agent_counts:
-                instance = load_instance(spec.map_path, scen, k)
-                for w in spec.w_values:
-                    for mode in spec.flex_modes:
-                        for rep in range(spec.repetitions):
-                            config = SolverConfig(
-                                w=w, flex_mode=FlexMode(mode),
-                                low_level=spec.low_level,
-                                bypass=spec.bypass,
-                                prioritize=spec.prioritize,
-                                symmetry=spec.symmetry,
-                                time_limit=spec.time_limit)
-                            result = Solver(instance, config).solve()
-                            outcome = result.outcome
-                            if result.paths is not None:
-                                if validate(result.paths, instance):
-                                    outcome = "invalid"
-                            result.metrics.outcome = outcome
-                            iid = f"{scen}:{k}"
-                            if spec.repetitions > 1:
-                                iid += f":rep{rep}"
-                            row = ResultRow.from_metrics(iid, k, config,
-                                                         result.metrics)
-                            rows.append(row)
-                            if writer is not None:
-                                writer.writerow(row.to_csv_values())
+        for scen, k, instance in sweep:
+            for w in spec.w_values:
+                for mode in spec.flex_modes:
+                    for rep in range(spec.repetitions):
+                        config = SolverConfig(
+                            w=w, flex_mode=FlexMode(mode),
+                            low_level=spec.low_level, bypass=spec.bypass,
+                            prioritize=spec.prioritize,
+                            symmetry=spec.symmetry,
+                            time_limit=spec.time_limit)
+                        result = Solver(instance, config).solve()
+                        outcome = result.outcome
+                        if result.paths is not None:
+                            if validate(result.paths, instance):
+                                outcome = "invalid"
+                        result.metrics.outcome = outcome
+                        iid = f"{scen}:{k}"
+                        if spec.repetitions > 1:
+                            iid += f":rep{rep}"
+                        row = ResultRow.from_metrics(iid, k, config,
+                                                     result.metrics)
+                        rows.append(row)
+                        if writer is not None:
+                            writer.writerow(row.to_csv_values())
     finally:
         if csv_file is not None:
             csv_file.close()
@@ -259,7 +277,11 @@ def main(argv=None) -> int:
                      time_limit=args.time_limit, repetitions=args.repetitions,
                      out_csv=args.out_csv,
                      out_summary=args.out_summary, out_plots=args.out_plots)
-    rows = run_benchmark(spec)
+    try:
+        rows = run_benchmark(spec)
+    except (MapFormatError, InstanceError, OSError) as exc:
+        print(f"flexcbs-bench: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     solved = sum(1 for r in rows if r.outcome == "solved")
     print(f"{len(rows)} runs, {solved} solved -> {args.out_csv}")
     return 0

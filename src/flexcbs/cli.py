@@ -114,12 +114,16 @@ def main(argv=None) -> int:
             for p in problems:
                 print(f"  {p}", file=sys.stderr)
             return EXIT_INFEASIBLE
-        if args.out:
-            write_solution(args.out, result.paths)
-    sidecar = (args.out + ".metrics.json") if args.out else None
-    if sidecar:
-        with open(sidecar, "w") as f:
-            json.dump(metrics_dict(result.metrics), f, indent=2)
+    if args.out:
+        try:
+            if result.paths is not None:
+                write_solution(args.out, result.paths)
+            with open(args.out + ".metrics.json", "w") as f:
+                json.dump(metrics_dict(result.metrics), f, indent=2)
+        except OSError as exc:
+            print(f"flexcbs: cannot write output: {exc}",
+                  file=sys.stderr)
+            return EXIT_USAGE
     else:
         json.dump(metrics_dict(result.metrics), sys.stdout, indent=2)
         print()

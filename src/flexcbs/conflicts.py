@@ -88,20 +88,20 @@ def _traversal(path: Path, corridor: Corridor) -> tuple[Cell, Cell, int] | None:
 class Classifier:
     """Assigns priority classes; needs node context (paths, constraints).
 
-    `dist` maps a cell to its static distance table (see `compute_h`); it is
-    shared with the owner, and tables for corridor exits are added on first
-    use.
+    `dist` maps a cell to its static distance table, a list indexed by cell
+    id (see `compute_h`); it is shared with the owner, and tables for
+    corridor exits are added on first use.
     """
 
     def __init__(self, grid: GridMap, symmetry: bool = True,
                  prioritize: bool = True,
-                 dist: dict[Cell, dict[Cell, int]] | None = None):
+                 dist: dict[Cell, list[float]] | None = None):
         self.grid = grid
         self.symmetry = symmetry
         self.prioritize = prioritize
         self.dist = dist if dist is not None else {}
 
-    def _h(self, cell: Cell) -> dict[Cell, int]:
+    def _h(self, cell: Cell) -> list[float]:
         table = self.dist.get(cell)
         if table is None:
             table = self.dist[cell] = compute_h(self.grid, cell)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -23,20 +22,27 @@ INF = math.inf
 EPS = 1e-9
 
 
-def compute_h(grid: GridMap, target: Cell) -> dict[Cell, int]:
-    """Exact static shortest-path distance to target via backward BFS."""
+def compute_h(grid: GridMap, target: Cell) -> list[float]:
+    """Exact static shortest-path distance to target via backward BFS, as a
+    list indexed by cell id; INF for blocked cells and cells that cannot
+    reach the target."""
     if not grid.is_passable(target):
         raise ValueError(f"target {target} is not passable")
     moves = grid.moves
-    dist = {target: 0}
-    queue = deque([target])
-    while queue:
-        cur = queue.popleft()
-        d = dist[cur] + 1
-        for nb in moves[cur]:
-            if nb not in dist:
-                dist[nb] = d
-                queue.append(nb)
+    dist = [INF] * len(moves)
+    src = grid.id_of(target)
+    dist[src] = 0
+    frontier = [src]
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for cur in frontier:
+            for nb in moves[cur]:
+                if dist[nb] is INF:  # every unreached entry is this object
+                    dist[nb] = d
+                    nxt.append(nb)
+        frontier = nxt
     return dist
 
 
@@ -158,7 +164,7 @@ class LowLevelRequest:
     agent: int
     start: Cell
     goal: Cell
-    h: dict[Cell, int]
+    h: list[float]  # compute_h(grid, goal)
     ctable: ConstraintTable
     occupancy: Occupancy
     w: float = 1.0
@@ -178,32 +184,43 @@ class LowLevelResult:
     expansions: int = 0
 
 
-def _reconstruct(parent: dict, agent: int, key: tuple[Cell, int]) -> Path:
+def _reconstruct(parent: dict, cell_of: tuple[Cell, ...], agent: int,
+                 key: tuple[int, int]) -> Path:
     cells = []
     while key is not None:
-        cells.append(key[0])
+        cells.append(cell_of[key[0]])
         key = parent[key]
     cells.reverse()
     return Path(agent, tuple(cells))
 
 
+def _guarded_ids(grid: GridMap, ctable: ConstraintTable) -> set[int]:
+    """Ids of the cells some constraint bars; no other id is ever blocked."""
+    id_of = grid.id_of
+    return {id_of(c) for c in ctable.guarded if grid.in_bounds(c)}
+
+
 def _search(req: LowLevelRequest, two_phase: bool) -> LowLevelResult | None:
-    ctable, goal, h = req.ctable, req.goal, req.h
-    if ctable.infeasible or req.start not in h:
+    ctable, grid, h = req.ctable, req.grid, req.h
+    if ctable.infeasible:
         return None
+    start, goal = grid.id_of(req.start), grid.id_of(req.goal)
     horizon = req.effective_horizon()
     earliest, latest = ctable.earliest_goal, ctable.latest_goal
     # h is consistent, so a state with t + h > latest and all its descendants
-    # reach the goal too late: fail now, or prune such states in expand()
-    if h[req.start] > latest or ctable.last_block_on(goal) >= latest:
+    # reach the goal too late: fail now, or prune such states in expand().
+    # An unreachable goal (h = INF) with no latest goal fails at the first
+    # OPEN check instead, where f_min = INF.
+    if h[start] > latest or ctable.last_block_on(req.goal) >= latest:
         return None
     if ctable.is_blocked(req.start, 0):
         return None
-    moves = req.grid.moves
-    # only cells in `guarded` can be blocked, so the constraint probes run
-    # for those alone
-    guarded = ctable.guarded
+    # States are (cell id, t); cells go back to tuples only for the
+    # cell-keyed constraint and occupancy probes, and for the path.
+    moves, cell_of = grid.moves, grid.cell_of
+    guarded = _guarded_ids(grid, ctable)
     is_blocked, is_edge_blocked = ctable.is_blocked, ctable.is_edge_blocked
+    goal_ok, goal_cell = ctable.goal_arrival_ok, req.goal
     step_conflicts = req.occupancy.step_conflicts
     push, pop = heapq.heappush, heapq.heappop
 
@@ -216,42 +233,45 @@ def _search(req: LowLevelRequest, two_phase: bool) -> LowLevelResult | None:
     focal_heap: list = []  # (x, -t, f, ctr, v, t)
     next_ctr = itertools.count().__next__
 
-    start_key = (req.start, 0)
-    f0 = max(h[req.start], earliest)
+    start_key = (start, 0)
+    f0 = max(h[start], earliest)
     # The focal bound tracks the rising f_min and never shrinks, so the final
     # path cost is within w * max{f_min at termination, parent lb} + delta.
     bound = threshold(req.w, f0, req.lb_parent, req.delta)
     best_x[start_key] = 0
     parent[start_key] = None
     ctr = next_ctr()
-    push(open_heap, (f0, 0, ctr, req.start, 0))
+    push(open_heap, (f0, 0, ctr, start, 0))
     if f0 <= bound + EPS:
-        push(focal_heap, (0, 0, f0, ctr, req.start, 0))
+        push(focal_heap, (0, 0, f0, ctr, start, 0))
         in_focal.add(start_key)
     expansions = 0
 
-    def expand(v: Cell, t: int, x: int, into_focal: bool):
+    def expand(v: int, t: int, x: int, into_focal: bool):
         nonlocal expansions
         expansions += 1
         t2 = t + 1
         if t2 > horizon:
             return
+        here, u = (v, t), cell_of[v]
         for v2 in moves[v]:
-            hv = h.get(v2)
-            if hv is None or t2 + hv > latest:
+            # cells cut off from the goal are never generated: moves are
+            # symmetric, so they lie in another component than the start
+            hv = h[v2]
+            if t2 + hv > latest:
                 continue
             key = (v2, t2)
             if key in closed:
                 continue
-            if v2 in guarded and (is_blocked(v2, t2)
-                                  or is_edge_blocked(v, v2, t2)):
+            if v2 in guarded and (is_blocked(cell_of[v2], t2)
+                                  or is_edge_blocked(u, cell_of[v2], t2)):
                 continue
-            x2 = x + step_conflicts(v, v2, t2)
+            x2 = x + step_conflicts(u, cell_of[v2], t2)
             known = best_x.get(key)
             if known is not None and known <= x2:
                 continue
             best_x[key] = x2
-            parent[key] = (v, t)
+            parent[key] = here
             f2 = t2 + hv  # f = max(t + h, earliest goal time)
             if f2 < earliest:
                 f2 = earliest
@@ -300,13 +320,13 @@ def _search(req: LowLevelRequest, two_phase: bool) -> LowLevelResult | None:
                 break
         else:
             return None  # every open node lies above the bound
-        if v == goal and ctable.goal_arrival_ok(goal, t):
+        if v == goal and goal_ok(goal_cell, t):
             found_key = key
             break
         closed.add(key)
         expand(v, t, x, into_focal=True)
 
-    path = _reconstruct(parent, req.agent, found_key)
+    path = _reconstruct(parent, cell_of, req.agent, found_key)
     cost = path.cost
     closed.add(found_key)
     f_min = min(float(cost), open_min_f())
@@ -324,7 +344,7 @@ def _search(req: LowLevelRequest, two_phase: bool) -> LowLevelResult | None:
                 continue
             if f > cost + EPS:
                 break
-            if v == goal and ctable.goal_arrival_ok(goal, t):
+            if v == goal and goal_ok(goal_cell, t):
                 optimal = t
                 break
             closed.add(key)
@@ -353,41 +373,43 @@ def earliest_arrival(grid: GridMap, ctable: ConstraintTable, start: Cell,
                      dest: Cell, horizon: int,
                      banned: frozenset[Cell] = frozenset(),
                      arrive_ok: Callable[[Cell, int], bool] = _any_arrival,
-                     h: dict[Cell, int] | None = None) -> int | None:
+                     h: list[float] | None = None) -> int | None:
     """Earliest timestep t <= horizon at which the agent can occupy dest with
     arrive_ok(dest, t) true, or None.
 
     Time-expanded BFS under the constraint table; used for corridor timing
     bounds and, with the goal-parking test as arrive_ok, for cardinality
     probes. `banned` cells are excluded entirely. `h` is the static distance
-    to dest (computed when None): a state with t + h > horizon cannot arrive
-    in time, even around banned cells, so it is never generated.
+    to dest, `compute_h(grid, dest)` (computed when None): a state with
+    t + h > horizon cannot arrive in time, even around banned cells, so it is
+    never generated.
     """
     if h is None:
         h = compute_h(grid, dest)
-    h_start = h.get(start)
-    if (h_start is None or h_start > horizon or start in banned
+    id_of = grid.id_of
+    src = id_of(start)
+    if (h[src] > horizon or start in banned
             or ctable.is_blocked(start, 0)):
         return None
     if start == dest and arrive_ok(dest, 0):
         return 0
-    moves = grid.moves
-    guarded = ctable.guarded
-    frontier = {start}
+    moves, cell_of = grid.moves, grid.cell_of
+    dst = id_of(dest)
+    banned_ids = {id_of(c) for c in banned}
+    guarded = _guarded_ids(grid, ctable)
+    frontier = {src}
     for t in range(1, horizon + 1):
         nxt = set()
         slack = horizon - t
         for v in frontier:
             for v2 in moves[v]:
-                if v2 in banned or v2 in nxt:
+                if v2 in banned_ids or v2 in nxt or h[v2] > slack:
                     continue
-                hv = h.get(v2)
-                if hv is None or hv > slack:
+                if v2 in guarded and (
+                        ctable.is_blocked(cell_of[v2], t)
+                        or ctable.is_edge_blocked(cell_of[v], cell_of[v2], t)):
                     continue
-                if v2 in guarded and (ctable.is_blocked(v2, t)
-                                      or ctable.is_edge_blocked(v, v2, t)):
-                    continue
-                if v2 == dest and arrive_ok(dest, t):
+                if v2 == dst and arrive_ok(dest, t):
                     return t
                 nxt.add(v2)
         if not nxt:

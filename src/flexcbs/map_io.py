@@ -1,7 +1,11 @@
 """MovingAI map/scenario parsing and the 4-connected grid graph.
 
-Cells are (row, col) tuples. Scenario files store (x, y) = (col, row) and are
-converted on ingestion so the rest of the code only ever sees (row, col).
+Cells are (row, col) tuples at every public boundary: instances, paths,
+constraints, conflicts and CLI output. Scenario files store (x, y) =
+(col, row) and are converted on ingestion. Inside the search kernel a cell is
+a flat id `row * width + col`: `GridMap.moves` and the distance tables of
+`lowlevel.compute_h` are lists indexed by id, `GridMap.id_of` maps a cell to
+its id and `GridMap.cell_of` maps an id back to the grid's own cell tuple.
 """
 
 from __future__ import annotations
@@ -27,23 +31,41 @@ class GridMap:
     height: int
     width: int
     passable: tuple[bool, ...]  # row-major, len == height * width
-    # passable cell -> (cell, *neighbors): the moves of one timestep, waiting
-    # first, then up/down/left/right; the order fixes search tie-breaking
-    moves: dict[Cell, tuple[Cell, ...]] = field(init=False, compare=False,
-                                                repr=False)
+    # id -> the cell tuple with that id; kernel paths are rebuilt from these
+    cell_of: tuple[Cell, ...] = field(init=False, compare=False, repr=False)
+    # id -> (id, *neighbor ids): the moves of one timestep, waiting first,
+    # then up/down/left/right, the order that fixes search tie-breaking;
+    # () for a blocked cell
+    moves: list[tuple[int, ...]] = field(init=False, compare=False,
+                                         repr=False)
+    _num_passable: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.height < 1 or self.width < 1:
             raise ValueError("map dimensions must be positive")
         if len(self.passable) != self.height * self.width:
             raise ValueError("passable length does not match dimensions")
-        moves = {}
-        for cell in self.passable_cells():
-            r, c = cell
-            moves[cell] = (cell, *(nb for nb in ((r - 1, c), (r + 1, c),
-                                                 (r, c - 1), (r, c + 1))
-                                   if self.is_passable(nb)))
+        height, width, passable = self.height, self.width, self.passable
+        moves = []
+        for i, ok in enumerate(passable):
+            if not ok:
+                moves.append(())
+                continue
+            r, c = divmod(i, width)
+            step = [i]
+            if r > 0 and passable[i - width]:
+                step.append(i - width)
+            if r < height - 1 and passable[i + width]:
+                step.append(i + width)
+            if c > 0 and passable[i - 1]:
+                step.append(i - 1)
+            if c < width - 1 and passable[i + 1]:
+                step.append(i + 1)
+            moves.append(tuple(step))
+        object.__setattr__(self, "cell_of", tuple(
+            (r, c) for r in range(height) for c in range(width)))
         object.__setattr__(self, "moves", moves)
+        object.__setattr__(self, "_num_passable", sum(passable))
 
     def in_bounds(self, cell: Cell) -> bool:
         r, c = cell
@@ -53,19 +75,23 @@ class GridMap:
         r, c = cell
         return self.in_bounds(cell) and self.passable[r * self.width + c]
 
+    def id_of(self, cell: Cell) -> int:
+        """Flat id of an in-bounds cell; an outside cell aliases another."""
+        r, c = cell
+        return r * self.width + c
+
     def neighbors(self, cell: Cell) -> list[Cell]:
         """Passable 4-neighbors of a passable cell, in up/down/left/right order."""
-        moves = self.moves.get(cell)
-        if moves is None:
+        if not self.is_passable(cell):
             raise ValueError(f"neighbors() called on blocked or out-of-bounds cell {cell}")
-        return list(moves[1:])
+        cell_of = self.cell_of
+        return [cell_of[i] for i in self.moves[self.id_of(cell)][1:]]
 
     def passable_cells(self) -> list[Cell]:
-        return [(r, c) for r in range(self.height) for c in range(self.width)
-                if self.passable[r * self.width + c]]
+        return [self.cell_of[i] for i, ok in enumerate(self.passable) if ok]
 
     def num_passable(self) -> int:
-        return len(self.moves)
+        return self._num_passable
 
     def degree(self, cell: Cell) -> int:
         return len(self.neighbors(cell))
@@ -110,25 +136,25 @@ class Instance:
             targets.add(agent.target)
         if self.agents:
             component = self._components()
+            id_of = self.map.id_of
             for agent in self.agents:
-                if component[agent.start] != component[agent.target]:
+                if component[id_of(agent.start)] != component[id_of(agent.target)]:
                     raise InstanceError(
                         f"agent {agent.id}: target {agent.target} unreachable from {agent.start}")
 
-    def _components(self) -> dict[Cell, int]:
-        """Passable cell -> label of its connected component."""
+    def _components(self) -> list[int]:
+        """Id -> label of its connected component; -1 for a blocked cell."""
         moves = self.map.moves
-        label: dict[Cell, int] = {}
-        for root in moves:
-            if root in label:
+        label = [-1] * len(moves)
+        for root, step in enumerate(moves):
+            if not step or label[root] >= 0:
                 continue
-            # a fresh label: the number of cells labelled so far
-            mark = label[root] = len(label)
+            label[root] = root  # a fresh label: the component's first id
             stack = [root]
             while stack:
                 for nb in moves[stack.pop()]:
-                    if nb not in label:
-                        label[nb] = mark
+                    if label[nb] < 0:
+                        label[nb] = root
                         stack.append(nb)
         return label
 

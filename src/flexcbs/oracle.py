@@ -94,9 +94,10 @@ def optimal_soc(instance: Instance) -> OracleResult:
     starts = tuple(a.start for a in instance.agents)
     h_tables = [compute_h(grid, t) for t in targets]
     horizon = k * n_cells
+    id_of = grid.id_of
 
     def h(positions) -> int:
-        return sum(h_tables[i][positions[i]] for i in range(k))
+        return sum(h_tables[i][id_of(positions[i])] for i in range(k))
 
     # state: (positions, free) where free[i] counts uncharged waits at target
     start_state = (starts, (0,) * k)

@@ -4,6 +4,9 @@ constrained-shortest-path oracle used to cross-check the search code."""
 from __future__ import annotations
 
 import random
+from collections import deque
+
+from hypothesis import strategies as st
 
 from flexcbs.constraints import Conflict, ConstraintKind, Path
 from flexcbs.map_io import AgentSpec, Cell, GridMap, Instance
@@ -22,6 +25,39 @@ def random_grid(rng: random.Random, height: int, width: int,
                 density: float) -> GridMap:
     cells = tuple(rng.random() >= density for _ in range(height * width))
     return GridMap(height, width, cells)
+
+
+@st.composite
+def small_grids(draw, max_height: int = 6, max_width: int = 7) -> GridMap:
+    """Grids with about half their cells blocked, so most split into
+    several components."""
+    height = draw(st.integers(1, max_height))
+    width = draw(st.integers(1, max_width))
+    passable = draw(st.lists(st.booleans(), min_size=height * width,
+                             max_size=height * width))
+    return GridMap(height, width, tuple(passable))
+
+
+def brute_steps(grid: GridMap, cell: Cell) -> list[Cell]:
+    """The cell, then its passable up/down/left/right neighbors: the moves of
+    one timestep, from the grid's bounds and passability alone."""
+    r, c = cell
+    return [cell] + [nb for nb in ((r - 1, c), (r + 1, c), (r, c - 1),
+                                   (r, c + 1)) if grid.is_passable(nb)]
+
+
+def brute_distances(grid: GridMap, target: Cell) -> dict[Cell, int]:
+    """Static distance to target from every cell that can reach it, by a
+    BFS over cell tuples; the reference for `compute_h`."""
+    dist = {target: 0}
+    queue = deque([target])
+    while queue:
+        cur = queue.popleft()
+        for nb in brute_steps(grid, cur):
+            if nb not in dist:
+                dist[nb] = dist[cur] + 1
+                queue.append(nb)
+    return dist
 
 
 def largest_component(grid: GridMap) -> list[Cell]:

@@ -11,7 +11,7 @@ from flexcbs.bench import (BenchSpec, CSV_COLUMNS, RUNTIME_COLUMNS,
 from flexcbs.constraints import ConstraintTable
 from flexcbs.flex import FlexMode, FrontierView, cfd_flex, dfd_flex, mfd_flex
 from flexcbs.highlevel import RunMetrics, Solver, SolverConfig
-from flexcbs.lowlevel import (LowLevelRequest, Occupancy, compute_h,
+from flexcbs.lowlevel import (INF, LowLevelRequest, Occupancy, compute_h,
                               fastar_search, focal_search)
 from flexcbs.map_io import AgentSpec, Instance
 from flexcbs.oracle import optimal_soc, validate
@@ -179,7 +179,7 @@ def test_criterion_05_fastar_lb_dominance(capsys):
         if len(cells) < 4:
             continue
         start, goal = rng.sample(cells, 2)
-        if compute_h(grid, goal).get(start) is None:
+        if compute_h(grid, goal)[grid.id_of(start)] == INF:
             continue
         cs = _random_constraints(rng, grid, goal)
         others = [random_walk_path(rng, grid, rng.choice(cells), 5)

@@ -113,6 +113,14 @@ class TestSolveRuns:
         assert rc == 1
         assert json.loads(capsys.readouterr().out)["outcome"] == "timeout"
 
+    def test_unwritable_out_is_a_usage_error(self, files, tmp_path, capsys):
+        out = tmp_path / "missing-dir" / "solution.txt"
+        rc = main(base_args(files) + ["--out", str(out)])
+        assert rc == 64  # not 1, the timeout code
+        err = capsys.readouterr().err
+        assert err.startswith("flexcbs: cannot write")
+        assert len(err.splitlines()) == 1
+
 
 class TestBenchUsageErrors:
     @pytest.mark.parametrize("args", [
@@ -129,4 +137,21 @@ class TestBenchUsageErrors:
                         "--agents", "2", "--out-csv",
                         str(tmp_path / "r.csv")] + args)
         assert exc.value.code == 64
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("bad", ["missing_map", "short_scen"])
+    def test_bad_input_file(self, files, tmp_path, capsys, bad):
+        map_path, scen_path = files
+        if bad == "missing_map":
+            map_path = str(tmp_path / "nope.map")
+            agents = "2"
+        else:
+            agents = "3"  # the scenario has two entries
+        rc = bench.main(["--map", map_path, "--scen", scen_path,
+                         "--agents", agents,
+                         "--out-csv", str(tmp_path / "r.csv")])
+        assert rc == 64
+        err = capsys.readouterr().err
+        assert err.startswith("flexcbs-bench: ")
+        assert len(err.splitlines()) == 1
         assert not (tmp_path / "r.csv").exists()

@@ -78,7 +78,7 @@ def path_sets(draw):
     for agent in range(draw(st.integers(1, 5))):
         cur = [draw(st.sampled_from(cells))]
         for i in draw(st.lists(st.integers(0, 4), max_size=7)):
-            moves = grid.moves[cur[-1]]
+            moves = [cur[-1], *grid.neighbors(cur[-1])]
             cur.append(moves[i % len(moves)])
         paths.append(Path(agent, tuple(cur)))
     return paths

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from flexcbs.constraints import (ConstraintTable, Path, edge_constraint,
                                  length_gt, length_leq, range_constraint,
                                  vertex_constraint)
-from flexcbs.lowlevel import (LowLevelRequest, Occupancy, compute_h,
+from flexcbs.lowlevel import (INF, LowLevelRequest, Occupancy, compute_h,
                               earliest_arrival, fastar_search, focal_search)
 from flexcbs.map_io import GridMap
-from helpers import (brute_constrained_opt, grid_from_rows, occupancy_state,
-                     open_grid, random_grid, random_walk_path)
+from helpers import (brute_constrained_opt, brute_distances, grid_from_rows,
+                     occupancy_state, open_grid, random_grid,
+                     random_walk_path, small_grids)
 
 
 def make_request(grid, start, goal, constraints=(), others=(), w=1.0,
@@ -28,16 +29,28 @@ class TestComputeH:
     def test_line_distances(self):
         grid = open_grid(1, 4)
         h = compute_h(grid, (0, 3))
-        assert [h[(0, c)] for c in range(4)] == [3, 2, 1, 0]
+        assert [h[grid.id_of((0, c))] for c in range(4)] == [3, 2, 1, 0]
 
     def test_unreachable_cell_absent(self):
         grid = grid_from_rows([".@."])
         h = compute_h(grid, (0, 2))
-        assert (0, 0) not in h
+        assert h[grid.id_of((0, 0))] == INF
 
     def test_blocked_target_rejected(self):
         with pytest.raises(ValueError):
             compute_h(grid_from_rows([".@"]), (0, 1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(grid=small_grids(), data=st.data())
+    def test_matches_brute_bfs(self, grid, data):
+        cells = grid.passable_cells()
+        assume(cells)
+        target = data.draw(st.sampled_from(cells))
+        h = compute_h(grid, target)
+        brute = brute_distances(grid, target)
+        assert len(h) == grid.height * grid.width
+        for i, cell in enumerate(grid.cell_of):
+            assert h[i] == brute.get(cell, INF)
 
 
 class TestOccupancy:
@@ -364,6 +377,16 @@ class TestFailFast:
         assert elapsed < self.SLACK_S
 
     @pytest.mark.parametrize("search", [focal_search, fastar_search])
+    def test_goal_in_another_component(self, search):
+        # a wall column splits a 32x65 grid into two 32x32 halves; the
+        # unchecked sweep covers one half up to the horizon of ~2k steps
+        passable = tuple(c != 32 for r in range(32) for c in range(65))
+        req = make_request(GridMap(32, 65, passable), (0, 0), (31, 64))
+        res, elapsed = self.timed(search, req)
+        assert res is None
+        assert elapsed < self.SLACK_S
+
+    @pytest.mark.parametrize("search", [focal_search, fastar_search])
     def test_feasible_length_leq_keeps_optimum(self, search):
         # the wait the vertex constraint forces is avoided by going down
         # first, so the optimum stays the distance of 62
@@ -389,7 +412,7 @@ def constrained_problems(draw):
     start, goal = draw(cell), draw(cell)
     step = st.integers(0, 8)
     edge = cell.flatmap(lambda v: st.builds(
-        edge_constraint, st.just(0), st.sampled_from(grid.moves[v]),
+        edge_constraint, st.just(0), st.sampled_from([v, *grid.neighbors(v)]),
         st.just(v), st.integers(1, 8)))
     constraint = st.one_of(
         st.builds(vertex_constraint, st.sampled_from([0, 2]), cell, step),
@@ -407,7 +430,7 @@ def constrained_problems(draw):
 def walks(draw, grid, cells):
     cur = [draw(st.sampled_from(cells))]
     for i in draw(st.lists(st.integers(0, 4), max_size=6)):
-        moves = grid.moves[cur[-1]]
+        moves = [cur[-1], *grid.neighbors(cur[-1])]
         cur.append(moves[i % len(moves)])
     return Path(9, tuple(cur))
 

@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from flexcbs.map_io import (AgentSpec, GridMap, Instance, InstanceError,
                             MapFormatError, parse_map, parse_scenario,
                             load_instance)
-from helpers import grid_from_rows, open_grid, random_grid
+from helpers import (brute_steps, grid_from_rows, open_grid, random_grid,
+                     small_grids)
 
 MAP_2X2 = "type octile\nheight 2\nwidth 2\nmap\n.@\n..\n"
 
@@ -74,6 +76,27 @@ class TestGrid:
         grid = grid_from_rows([".@", ".."])
         with pytest.raises(ValueError):
             grid.neighbors((0, 1))
+
+    @pytest.mark.parametrize("cell", [(0, 3), (-1, 0), (2, 0)])
+    def test_neighbors_of_outside_cell_rejected(self, cell):
+        # (0, 3) has the flat id of (1, 0) and must not alias it
+        with pytest.raises(ValueError):
+            open_grid(2, 3).neighbors(cell)
+
+    @settings(max_examples=200, deadline=None)
+    @given(grid=small_grids())
+    def test_move_table_matches_cell_neighbors(self, grid):
+        for i, cell in enumerate(grid.cell_of):
+            assert grid.id_of(cell) == i
+            if grid.is_passable(cell):
+                steps = [grid.cell_of[j] for j in grid.moves[i]]
+                assert steps == brute_steps(grid, cell)
+                assert grid.neighbors(cell) == steps[1:]
+            else:
+                assert grid.moves[i] == ()
+        assert len(grid.moves) == grid.height * grid.width
+        assert grid.num_passable() == len(grid.passable_cells())
+        assert grid.num_passable() == sum(grid.passable)
 
     def test_neighbor_symmetry(self):
         rng = random.Random(1)

@@ -84,7 +84,7 @@ class TestOptimalSoc:
         grid = grid_from_rows(["...", ".@.", "..."])
         inst = Instance(grid, (AgentSpec(0, (0, 0), (2, 2)),))
         res = optimal_soc(inst)
-        assert res.solvable and res.soc == compute_h(grid, (2, 2))[(0, 0)]
+        assert res.solvable and res.soc == compute_h(grid, (2, 2))[grid.id_of((0, 0))]
 
     def test_swap_instance(self):
         res = optimal_soc(swap_instance())
@@ -158,7 +158,7 @@ def _enumerated_optimum(instance, slack):
     grid = instance.map
     per_agent = []
     for agent in instance.agents:
-        dist = compute_h(grid, agent.target)[agent.start]
+        dist = compute_h(grid, agent.target)[grid.id_of(agent.start)]
         per_agent.append(_walks(grid, agent, dist + slack))
     best = None
     for p0, p1 in itertools.product(*per_agent):
