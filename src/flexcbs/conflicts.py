@@ -35,16 +35,18 @@ def conflict_counts(conflicts: list[Conflict], k: int) -> list[int]:
     return counts
 
 
-def detect_conflicts(paths: list[Path]) -> tuple[list[Conflict], list[int], int]:
+def detect_conflicts(grid: GridMap, paths: list[Path]
+                     ) -> tuple[list[Conflict], list[int], int]:
     """All vertex/edge conflicts between every pair, with target permanence.
 
-    Agents are the list positions. Each path is checked against the ones
-    before it through one `Occupancy`, so the cost is one index lookup per
-    timestep and hit instead of one scan per pair. The list is sorted by
-    (a_i, a_j, t). Returns (conflicts, per-agent counts, total count); the
-    total equals half the sum of the per-agent counts.
+    Agents are the list positions and the paths lie on `grid`. Each path is
+    checked against the ones before it through one `Occupancy`, so the cost
+    is one index lookup per timestep and hit instead of one scan per pair.
+    The list is sorted by (a_i, a_j, t). Returns (conflicts, per-agent
+    counts, total count); the total equals half the sum of the per-agent
+    counts.
     """
-    occ = Occupancy([])
+    occ = Occupancy(grid)
     conflicts = []
     for i, path in enumerate(paths):
         if path.agent != i:

@@ -128,7 +128,7 @@ class ConstraintTable:
         self._vertex: set[tuple[Cell, int]] = set()
         self._edge: set[tuple[Cell, Cell, int]] = set()
         self._range_ub: dict[Cell, int] = {}        # blocked for all t <= ub
-        self._blocked_from: dict[Cell, int] = {}    # blocked for all t >= value
+        self.blocked_from: dict[Cell, int] = {}     # blocked for all t >= value
         self.earliest_goal = 0
         self.latest_goal = INF
         self.latest_constraint_t = 0
@@ -162,8 +162,8 @@ class ConstraintTable:
                 else:
                     tgt = targets.get(c.agent)
                     if tgt is not None:
-                        prev = self._blocked_from.get(tgt, INF)
-                        self._blocked_from[tgt] = min(prev, c.t)
+                        prev = self.blocked_from.get(tgt, INF)
+                        self.blocked_from[tgt] = min(prev, c.t)
                         self.guarded.add(tgt)
                 self.latest_constraint_t = max(self.latest_constraint_t, c.t)
 
@@ -177,7 +177,7 @@ class ConstraintTable:
         ub = self._range_ub.get(v)
         if ub is not None and t <= ub:
             return True
-        frm = self._blocked_from.get(v)
+        frm = self.blocked_from.get(v)
         return frm is not None and t >= frm
 
     def is_edge_blocked(self, u: Cell, v: Cell, t: int) -> bool:
@@ -185,7 +185,7 @@ class ConstraintTable:
 
     def last_block_on(self, v: Cell) -> float:
         """Latest timestep at which v is blocked; INF if blocked forever."""
-        if v in self._blocked_from:
+        if v in self.blocked_from:
             return INF
         last = -1
         ub = self._range_ub.get(v)

@@ -198,6 +198,8 @@ class Solver:
         self.classifier = Classifier(self.grid, symmetry=config.symmetry,
                                      prioritize=config.prioritize,
                                      dist=self.dist)
+        # the low level's goal-reachability tables (LowLevelRequest.reach)
+        self.reach: dict = {}
         # the paths of the CT node being worked on, but for the agent being
         # replanned; built by make_root, moved between nodes by _sync
         self.occ: Occupancy | None = None
@@ -245,7 +247,7 @@ class Solver:
             grid=self.grid, agent=agent, start=self.starts[agent],
             goal=goal, h=self.dist[goal], ctable=ctable,
             occupancy=occupancy, w=self.config.w, delta=delta,
-            lb_parent=lb_parent)
+            lb_parent=lb_parent, reach=self.reach)
         search = fastar_search if self.config.low_level == "fastar" else focal_search
         return search(req)
 
@@ -262,7 +264,7 @@ class Solver:
         paths: list[Path] = []
         costs: list[int] = []
         lbs: list[float] = []
-        occ = self.occ = Occupancy([])  # the paths planned so far
+        occ = self.occ = Occupancy(self.grid)  # the paths planned so far
         for agent in range(self.k):
             ctable = ConstraintTable(agent, [], targets=self.targets)
             result = self._plan(agent, ctable, occ, delta=0.0, lb_parent=0.0)
@@ -272,7 +274,7 @@ class Solver:
             paths.append(result.path)
             costs.append(result.cost)
             lbs.append(result.lb)
-        conflicts, counts, total = detect_conflicts(paths)
+        conflicts, counts, total = detect_conflicts(self.grid, paths)
         root = CTNode(constraints=constraints, paths=paths, costs=costs,
                       lbs=lbs, conflicts=conflicts, x_counts=counts,
                       x_total=total, depth=0, seq=self._next_seq())

@@ -11,8 +11,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from collections.abc import Callable
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass, field
 
 from .constraints import BY_PAIR, Conflict, ConstraintTable, Path
 from .flex import threshold
@@ -47,8 +47,18 @@ def compute_h(grid: GridMap, target: Cell) -> list[float]:
 
 
 class Occupancy:
-    """Paths indexed by (cell, timestep): counts the conflicts of one step for
+    """Paths indexed by space-time key: counts the conflicts of one step for
     the low level and lists the conflicts of a whole path for the high level.
+
+    With N = len(grid.moves) cell ids, cell id v at timestep t has the
+    space-time key t * N + v, the number the search kernel uses for its
+    states. The tables:
+    - `vertex`: t * N + v -> the agents at v at t;
+    - `edge`: (t * N + u) * N + v -> the agents moving u -> v arriving at t
+      (a wait is no edge); a step u -> v with key s = t * N + v finds the
+      agents swapping with it, moving v -> u, under s * N + u;
+    - `ends`: cell id -> the indexed paths ending there;
+    - `parked`: cell id -> the earliest timestep one of them parks from.
 
     `add` and `remove` are exact inverses, so one index can follow a set of
     paths that changes a path at a time. Several indexed paths may carry one
@@ -56,26 +66,38 @@ class Occupancy:
     records the one added last.
     """
 
-    def __init__(self, paths: list[Path]):
-        # the agents at a cell at t, and moving u -> v arriving at t
-        self.vertex: dict[tuple[Cell, int], list[int]] = {}
-        self.edge: dict[tuple[Cell, Cell, int], list[int]] = {}
-        self.ends: dict[Cell, list[Path]] = {}  # cell -> indexed paths ending there
-        # cell -> earliest timestep parked from, the minimum over ends[cell]
-        self.parked: dict[Cell, int] = {}
+    def __init__(self, grid: GridMap, paths: Iterable[Path] = ()):
+        self.n = len(grid.moves)
+        self._id_of = grid.id_of
+        self.vertex: dict[int, list[int]] = {}
+        self.edge: dict[int, list[int]] = {}
+        self.ends: dict[int, list[Path]] = {}
+        self.parked: dict[int, int] = {}
         self.held: dict[int, Path] = {}  # agent -> its indexed path
         for p in paths:
             self.add(p)
 
+    def _ids(self, cells: tuple[Cell, ...]) -> list[int]:
+        return list(map(self._id_of, cells))
+
+    def _keys(self, ids: list[int]) -> tuple[list[int], list[int]]:
+        """The vertex keys, then the edge keys, of a path's cell ids."""
+        n = self.n
+        vertex = [t * n + v for t, v in enumerate(ids)]
+        edge = [((t * n + ids[t - 1]) * n + ids[t])
+                for t in range(1, len(ids)) if ids[t - 1] != ids[t]]
+        return vertex, edge
+
     def add(self, path: Path):
-        agent, cells = path.agent, path.cells
+        agent = path.agent
+        ids = self._ids(path.cells)
+        vertex_keys, edge_keys = self._keys(ids)
         vertex, edge = self.vertex, self.edge
-        for t, cell in enumerate(cells):
-            vertex.setdefault((cell, t), []).append(agent)
-        for t in range(1, len(cells)):
-            if cells[t - 1] != cells[t]:
-                edge.setdefault((cells[t - 1], cells[t], t), []).append(agent)
-        goal, cost = cells[-1], path.cost
+        for s in vertex_keys:
+            vertex.setdefault(s, []).append(agent)
+        for e in edge_keys:
+            edge.setdefault(e, []).append(agent)
+        goal, cost = ids[-1], path.cost
         self.ends.setdefault(goal, []).append(path)
         park = self.parked.get(goal)
         self.parked[goal] = min(park, cost) if park is not None else cost
@@ -83,13 +105,14 @@ class Occupancy:
 
     def remove(self, path: Path):
         """Undo `add(path)`; the path must be indexed."""
-        agent, cells = path.agent, path.cells
-        for t, cell in enumerate(cells):
-            _drop(self.vertex, (cell, t), agent)
-        for t in range(1, len(cells)):
-            if cells[t - 1] != cells[t]:
-                _drop(self.edge, (cells[t - 1], cells[t], t), agent)
-        goal = cells[-1]
+        agent = path.agent
+        ids = self._ids(path.cells)
+        vertex_keys, edge_keys = self._keys(ids)
+        for s in vertex_keys:
+            _drop(self.vertex, s, agent)
+        for e in edge_keys:
+            _drop(self.edge, e, agent)
+        goal = ids[-1]
         ends = self.ends[goal]
         ends.remove(path)
         if ends:
@@ -99,15 +122,16 @@ class Occupancy:
         if self.held.get(agent) is path:
             del self.held[agent]
 
-    def step_conflicts(self, prev: Cell, cur: Cell, t: int) -> int:
-        """Conflicts incurred by moving prev -> cur arriving at timestep t."""
-        n = len(self.vertex.get((cur, t), ()))
-        park = self.parked.get(cur)
+    def step_conflicts(self, u: int, v: int, t: int, s: int) -> int:
+        """Conflicts incurred by moving from cell id u to cell id v arriving
+        at timestep t; s is the space-time key t * N + v."""
+        n = len(self.vertex.get(s, ()))
+        park = self.parked.get(v)
         if park is not None and t > park:
             # t == park is already in the vertex table
             n += 1
-        if prev != cur:
-            n += len(self.edge.get((cur, prev, t), ()))
+        if u != v:
+            n += len(self.edge.get(s * self.n + u, ()))
         return n
 
     def conflicts_with(self, path: Path) -> list[Conflict]:
@@ -121,30 +145,34 @@ class Occupancy:
         `u`. Costs one lookup per timestep and hit.
         """
         a, cells = path.agent, path.cells
+        ids = self._ids(cells)
+        n = self.n
         vertex, edge, ends = self.vertex, self.edge, self.ends
         out = []
-        prev = cells[0]
+        prev, u = cells[0], ids[0]
         for t, cell in enumerate(cells):
-            for b in vertex.get((cell, t), ()):
+            v = ids[t]
+            s = t * n + v
+            for b in vertex.get(s, ()):
                 if b != a:
                     out.append(Conflict(min(a, b), max(a, b), cell, t))
-            for other in ends.get(cell, ()):
+            for other in ends.get(v, ()):
                 b = other.agent
                 if other.cost < t and b != a:
                     out.append(Conflict(min(a, b), max(a, b), cell, t))
-            if prev != cell:
-                for b in edge.get((cell, prev, t), ()):
+            if u != v:
+                for b in edge.get(s * n + u, ()):
                     if b > a:
                         out.append(Conflict(a, b, cell, t, u=prev))
                     elif b < a:
                         out.append(Conflict(b, a, prev, t, u=cell))
-            prev = cell
+            prev, u = cell, v
         # after its last step the agent stays at its goal, where only paths
         # still moving can meet it
         horizon = max((p.cost for paths in ends.values() for p in paths),
                       default=0)
         for t in range(len(cells), horizon + 1):
-            for b in vertex.get((prev, t), ()):
+            for b in vertex.get(t * n + u, ()):
                 if b != a:
                     out.append(Conflict(min(a, b), max(a, b), prev, t))
         out.sort(key=BY_PAIR)
@@ -170,6 +198,10 @@ class LowLevelRequest:
     w: float = 1.0
     delta: float = 0.0
     lb_parent: float = 0.0
+    # (goal id, cells blocked forever) -> _reaching(grid, ...): searches that
+    # share this dict, such as one Solver's, run each of those sweeps once
+    reach: dict[tuple[int, frozenset[Cell]], bytearray] = field(
+        default_factory=dict)
 
     def effective_horizon(self) -> int:
         return self.ctable.latest_constraint_t + self.grid.num_passable() + 1
@@ -185,11 +217,12 @@ class LowLevelResult:
 
 
 def _reconstruct(parent: dict, cell_of: tuple[Cell, ...], agent: int,
-                 key: tuple[int, int]) -> Path:
+                 s: int) -> Path:
+    n = len(cell_of)
     cells = []
-    while key is not None:
-        cells.append(cell_of[key[0]])
-        key = parent[key]
+    while s is not None:
+        cells.append(cell_of[s % n])
+        s = parent[s]
     cells.reverse()
     return Path(agent, tuple(cells))
 
@@ -200,7 +233,33 @@ def _guarded_ids(grid: GridMap, ctable: ConstraintTable) -> set[int]:
     return {id_of(c) for c in ctable.guarded if grid.in_bounds(c)}
 
 
+def _reaching(grid: GridMap, goal: int, walls: set[int]) -> bytearray:
+    """Id -> 1 if the cell reaches goal without entering a wall cell, else 0
+    (so 0 for the walls themselves)."""
+    moves = grid.moves
+    live = bytearray(len(moves))
+    live[goal] = 1
+    stack = [goal]
+    while stack:
+        for nb in moves[stack.pop()]:
+            if not live[nb] and nb not in walls:
+                live[nb] = 1
+                stack.append(nb)
+    return live
+
+
 def _search(req: LowLevelRequest, two_phase: bool) -> LowLevelResult | None:
+    """Focal search over space-time states, then, if two_phase, FA*'s
+    f-ordered phase on the same tree.
+
+    A state is the single int s = t * N + v for cell id v at timestep t, with
+    N = len(grid.moves): the key `Occupancy` files cell v at t under, so
+    the conflict count of a step probes with the successor's own key. The
+    cell id is s % N; heap entries carry -t as their tie-break, so a popped
+    entry yields v = s - t * N without a division. Cells go back to tuples
+    only for the cell-keyed constraint probes of guarded cells and for the
+    returned path.
+    """
     ctable, grid, h = req.ctable, req.grid, req.h
     if ctable.infeasible:
         return None
@@ -215,93 +274,105 @@ def _search(req: LowLevelRequest, two_phase: bool) -> LowLevelResult | None:
         return None
     if ctable.is_blocked(req.start, 0):
         return None
-    # States are (cell id, t); cells go back to tuples only for the
-    # cell-keyed constraint and occupancy probes, and for the path.
     moves, cell_of = grid.moves, grid.cell_of
+    n = len(moves)
     guarded = _guarded_ids(grid, ctable)
+    # From t_cut on, every cell some other agent's LENGTH_LEQ blocks stays
+    # blocked, so a state at t >= t_cut whose cell cannot reach the goal
+    # around those cells has no goal descendant: it is never generated.
+    walls = ctable.blocked_from
+    if walls:
+        t_cut = max(walls.values())
+        key = (goal, frozenset(walls))
+        live = req.reach.get(key)
+        if live is None:
+            live = req.reach[key] = _reaching(
+                grid, goal, {grid.id_of(c) for c in walls
+                             if grid.in_bounds(c)})
+    else:
+        t_cut, live = horizon + 1, None
     is_blocked, is_edge_blocked = ctable.is_blocked, ctable.is_edge_blocked
     goal_ok, goal_cell = ctable.goal_arrival_ok, req.goal
     step_conflicts = req.occupancy.step_conflicts
     push, pop = heapq.heappush, heapq.heappop
 
-    # The search tree, shared by both phases.
-    best_x: dict = {}      # (v,t) -> smallest conflict count
-    parent: dict = {}      # (v,t) -> (v',t-1)
-    closed: set = set()
-    in_focal: set = set()
-    open_heap: list = []   # (f, -t, ctr, v, t)
-    focal_heap: list = []  # (x, -t, f, ctr, v, t)
+    # The search tree, shared by both phases, keyed by state.
+    best_x: dict[int, int] = {}    # smallest conflict count
+    parent: dict[int, int | None] = {}  # the state one step earlier
+    closed: set[int] = set()
+    in_focal: set[int] = set()
+    open_heap: list = []   # (f, -t, ctr, s)
+    focal_heap: list = []  # (x, -t, f, ctr, s)
     next_ctr = itertools.count().__next__
 
-    start_key = (start, 0)
     f0 = max(h[start], earliest)
     # The focal bound tracks the rising f_min and never shrinks, so the final
     # path cost is within w * max{f_min at termination, parent lb} + delta.
     bound = threshold(req.w, f0, req.lb_parent, req.delta)
-    best_x[start_key] = 0
-    parent[start_key] = None
+    best_x[start] = 0
+    parent[start] = None
     ctr = next_ctr()
-    push(open_heap, (f0, 0, ctr, start, 0))
+    push(open_heap, (f0, 0, ctr, start))
     if f0 <= bound + EPS:
-        push(focal_heap, (0, 0, f0, ctr, start, 0))
-        in_focal.add(start_key)
+        push(focal_heap, (0, 0, f0, ctr, start))
+        in_focal.add(start)
     expansions = 0
 
-    def expand(v: int, t: int, x: int, into_focal: bool):
+    def expand(s: int, v: int, t: int, x: int, into_focal: bool):
         nonlocal expansions
         expansions += 1
         t2 = t + 1
         if t2 > horizon:
             return
-        here, u = (v, t), cell_of[v]
+        late = t2 >= t_cut
+        base = t2 * n
         for v2 in moves[v]:
             # cells cut off from the goal are never generated: moves are
             # symmetric, so they lie in another component than the start
             hv = h[v2]
-            if t2 + hv > latest:
+            if t2 + hv > latest or (late and not live[v2]):
                 continue
-            key = (v2, t2)
-            if key in closed:
+            s2 = base + v2
+            if s2 in closed:
                 continue
-            if v2 in guarded and (is_blocked(cell_of[v2], t2)
-                                  or is_edge_blocked(u, cell_of[v2], t2)):
+            if v2 in guarded and (
+                    is_blocked(cell_of[v2], t2)
+                    or is_edge_blocked(cell_of[v], cell_of[v2], t2)):
                 continue
-            x2 = x + step_conflicts(u, cell_of[v2], t2)
-            known = best_x.get(key)
+            x2 = x + step_conflicts(v, v2, t2, s2)
+            known = best_x.get(s2)
             if known is not None and known <= x2:
                 continue
-            best_x[key] = x2
-            parent[key] = here
+            best_x[s2] = x2
+            parent[s2] = s
             f2 = t2 + hv  # f = max(t + h, earliest goal time)
             if f2 < earliest:
                 f2 = earliest
             ctr = next_ctr()
             if known is None:
-                push(open_heap, (f2, -t2, ctr, v2, t2))
-            if into_focal and (key in in_focal or f2 <= bound + EPS):
-                push(focal_heap, (x2, -t2, f2, ctr, v2, t2))
-                in_focal.add(key)
+                push(open_heap, (f2, -t2, ctr, s2))
+            if into_focal and (s2 in in_focal or f2 <= bound + EPS):
+                push(focal_heap, (x2, -t2, f2, ctr, s2))
+                in_focal.add(s2)
 
     def open_min_f() -> float:
         while open_heap:
-            f, _negt, _c, v, t = open_heap[0]
-            if (v, t) in closed:
+            top = open_heap[0]
+            if top[3] in closed:
                 pop(open_heap)
             else:
-                return f
+                return top[0]
         return INF
 
     def migrate(new_bound: float):
         # pull newly qualifying OPEN nodes into FOCAL
-        for f, _negt, _c, v, t in open_heap:
-            key = (v, t)
-            if key in closed or key in in_focal or f > new_bound + EPS:
+        for f, negt, _c, s in open_heap:
+            if s in closed or s in in_focal or f > new_bound + EPS:
                 continue
-            push(focal_heap, (best_x[key], -t, f, next_ctr(), v, t))
-            in_focal.add(key)
+            push(focal_heap, (best_x[s], negt, f, next_ctr(), s))
+            in_focal.add(s)
 
     # Phase (i): focal-ordered expansion until a goal path is found.
-    found_key = None
     f_min_seen = None
     while True:
         f_min_now = open_min_f()
@@ -314,21 +385,21 @@ def _search(req: LowLevelRequest, two_phase: bool) -> LowLevelResult | None:
                 bound = new_bound
                 migrate(bound)
         while focal_heap:
-            x, _negt, _f, _c, v, t = pop(focal_heap)
-            key = (v, t)
-            if key not in closed and best_x[key] == x:
+            x, negt, _f, _c, s = pop(focal_heap)
+            if s not in closed and best_x[s] == x:
                 break
         else:
             return None  # every open node lies above the bound
+        t = -negt
+        v = s + negt * n
         if v == goal and goal_ok(goal_cell, t):
-            found_key = key
             break
-        closed.add(key)
-        expand(v, t, x, into_focal=True)
+        closed.add(s)
+        expand(s, v, t, x, into_focal=True)
 
-    path = _reconstruct(parent, cell_of, req.agent, found_key)
+    path = _reconstruct(parent, cell_of, req.agent, s)
     cost = path.cost
-    closed.add(found_key)
+    closed.add(s)
     f_min = min(float(cost), open_min_f())
     lb = max(f_min, req.lb_parent)
     tau = threshold(req.w, f_min, req.lb_parent, req.delta)
@@ -338,17 +409,18 @@ def _search(req: LowLevelRequest, two_phase: bool) -> LowLevelResult | None:
         # cost, which becomes the returned lower bound.
         optimal = None
         while open_heap:
-            f, _negt, _c, v, t = pop(open_heap)
-            key = (v, t)
-            if key in closed:
+            f, negt, _c, s = pop(open_heap)
+            if s in closed:
                 continue
             if f > cost + EPS:
                 break
+            t = -negt
+            v = s + negt * n
             if v == goal and goal_ok(goal_cell, t):
                 optimal = t
                 break
-            closed.add(key)
-            expand(v, t, best_x[key], into_focal=False)
+            closed.add(s)
+            expand(s, v, t, best_x[s], into_focal=False)
         if optimal is None:
             optimal = cost  # phase (i) path already optimal
         lb = max(min(float(optimal), float(cost)), req.lb_parent)

@@ -6,6 +6,10 @@ constraints, conflicts and CLI output. Scenario files store (x, y) =
 a flat id `row * width + col`: `GridMap.moves` and the distance tables of
 `lowlevel.compute_h` are lists indexed by id, `GridMap.id_of` maps a cell to
 its id and `GridMap.cell_of` maps an id back to the grid's own cell tuple.
+A cell id v at timestep t is the space-time key `t * N + v`, with
+N = len(moves) = height * width (not width, which would alias a timestep's
+cells with the next's): the low-level search keys its states by it and
+`lowlevel.Occupancy` its vertex table.
 """
 
 from __future__ import annotations

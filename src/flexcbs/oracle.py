@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from .constraints import Path
 from .lowlevel import compute_h
-from .map_io import Instance
+from .map_io import Cell, Instance
 
 MAX_ORACLE_AGENTS = 3
 MAX_ORACLE_CELLS = 36
@@ -51,24 +51,43 @@ def validate(paths: list[Path], instance: Instance) -> list[str]:
             if a != b and abs(a[0] - b[0]) + abs(a[1] - b[1]) != 1:
                 violations.append(f"agent {agent.id}: illegal step {a}->{b} "
                                   f"at t={t}")
-    horizon = max((p.cost for p in paths), default=0)
-    for i in range(k):
-        for j in range(i + 1, k):
-            pi, pj = paths[i], paths[j]
-            prev_i, prev_j = pi.at(0), pj.at(0)
-            if prev_i == prev_j:
-                violations.append(f"vertex conflict: agents {i},{j} at "
-                                  f"{prev_i} t=0")
-            for t in range(1, horizon + 1):
-                ci, cj = pi.at(t), pj.at(t)
-                if ci == cj:
-                    violations.append(f"vertex conflict: agents {i},{j} at "
-                                      f"{ci} t={t}")
-                elif ci == prev_j and cj == prev_i and ci != prev_i:
-                    violations.append(f"edge conflict: agents {i},{j} swap "
-                                      f"{prev_i}<->{prev_j} at t={t}")
-                prev_i, prev_j = ci, cj
+    violations.extend(line for *_ijt, line in sorted(_collisions(paths)))
     return violations
+
+
+def _collisions(paths: list[Path]) -> list[tuple[int, int, int, str]]:
+    """(i, j, t, line) for each vertex or edge conflict between agents i < j
+    at timestep t, agents parking at their last cell.
+
+    One pass per timestep over a map from cell to the agents there: a pair
+    shares a cell, or failing that, agent i moves into agent j's old cell
+    while j moves into i's old cell.
+    """
+    tracks = [p.cells for p in paths]
+    horizon = max((len(cells) - 1 for cells in tracks), default=0)
+    out = []
+    before = was = None  # the previous timestep's cells and cell map
+    for t in range(horizon + 1):
+        now = [cells[t] if t < len(cells) else cells[-1] for cells in tracks]
+        at: dict[Cell, list[int]] = {}
+        for i, cell in enumerate(now):
+            at.setdefault(cell, []).append(i)
+        for cell, agents in at.items():
+            for x, i in enumerate(agents):
+                for j in agents[x + 1:]:
+                    out.append((i, j, t, f"vertex conflict: agents {i},{j} "
+                                         f"at {cell} t={t}"))
+        if before is not None:
+            for i, cell in enumerate(now):
+                if cell == before[i]:
+                    continue
+                for j in was.get(cell, ()):
+                    if j > i and now[j] == before[i]:
+                        out.append((i, j, t, f"edge conflict: agents {i},{j} "
+                                             f"swap {before[i]}<->{before[j]} "
+                                             f"at t={t}"))
+        before, was = now, at
+    return out
 
 
 def optimal_soc(instance: Instance) -> OracleResult:

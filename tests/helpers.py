@@ -133,6 +133,32 @@ def brute_pair_conflicts(i: int, j: int, pi: Path, pj: Path) -> list[Conflict]:
     return out
 
 
+def pair_scan_conflict_lines(paths: list[Path]) -> list[str]:
+    """The vertex and edge conflict lines `oracle.validate` reports, by a
+    scan of every pair of paths over every timestep, agents parking at their
+    last cell; the reference for validate's one pass per timestep."""
+    lines = []
+    k = len(paths)
+    horizon = max((p.cost for p in paths), default=0)
+    for i in range(k):
+        for j in range(i + 1, k):
+            pi, pj = paths[i], paths[j]
+            prev_i, prev_j = pi.at(0), pj.at(0)
+            if prev_i == prev_j:
+                lines.append(f"vertex conflict: agents {i},{j} at "
+                             f"{prev_i} t=0")
+            for t in range(1, horizon + 1):
+                ci, cj = pi.at(t), pj.at(t)
+                if ci == cj:
+                    lines.append(f"vertex conflict: agents {i},{j} at "
+                                 f"{ci} t={t}")
+                elif ci == prev_j and cj == prev_i and ci != prev_i:
+                    lines.append(f"edge conflict: agents {i},{j} swap "
+                                 f"{prev_i}<->{prev_j} at t={t}")
+                prev_i, prev_j = ci, cj
+    return lines
+
+
 def occupancy_state(occ) -> tuple:
     """An Occupancy's vertex, edge and parked tables, with the agents under
     each key sorted, so indexes built in different orders compare equal."""

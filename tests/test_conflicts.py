@@ -16,9 +16,10 @@ from helpers import (brute_constrained_opt, brute_pair_conflicts,
 
 class TestDetectConflicts:
     def test_both_arrive_same_cell(self):
+        grid = open_grid(1, 3)
         p1 = Path(0, ((0, 0), (0, 1)))
         p2 = Path(1, ((0, 2), (0, 1)))
-        conflicts, counts, total = detect_conflicts([p1, p2])
+        conflicts, counts, total = detect_conflicts(grid, [p1, p2])
         assert total == 1
         c = conflicts[0]
         assert (c.a_i, c.a_j, c.v, c.t) == (0, 1, (0, 1), 1)
@@ -26,30 +27,34 @@ class TestDetectConflicts:
         assert counts == [1, 1]
 
     def test_head_on_swap_is_edge_conflict(self):
+        grid = open_grid(1, 2)
         p1 = Path(0, ((0, 0), (0, 1)))
         p2 = Path(1, ((0, 1), (0, 0)))
-        conflicts, _, total = detect_conflicts([p1, p2])
+        conflicts, _, total = detect_conflicts(grid, [p1, p2])
         assert total == 1
         assert conflicts[0].is_edge
         assert conflicts[0].t == 1
 
     def test_target_permanence(self):
+        grid = open_grid(1, 6)
         parked = Path(0, ((0, 1), (0, 2)))  # finishes at t=1, parks at (0,2)
         passer = Path(1, ((0, 5), (0, 4), (0, 3), (0, 2), (0, 1)))
-        conflicts, _, total = detect_conflicts([parked, passer])
+        conflicts, _, total = detect_conflicts(grid, [parked, passer])
         assert any(c.v == (0, 2) and c.t == 3 for c in conflicts)
         assert total == 1
 
     def test_start_overlap_detected_at_t0(self):
+        grid = open_grid(2, 2)
         p1 = Path(0, ((0, 0), (0, 1)))
         p2 = Path(1, ((0, 0), (1, 0)))
-        conflicts, _, total = detect_conflicts([p1, p2])
+        conflicts, _, total = detect_conflicts(grid, [p1, p2])
         assert conflicts[0].t == 0
 
     def test_clean_paths_no_conflicts(self):
+        grid = open_grid(2, 2)
         p1 = Path(0, ((0, 0), (0, 1)))
         p2 = Path(1, ((1, 0), (1, 1)))
-        assert detect_conflicts([p1, p2]) == ([], [0, 0], 0)
+        assert detect_conflicts(grid, [p1, p2]) == ([], [0, 0], 0)
 
     def test_total_is_half_of_count_sum(self):
         rng = random.Random(2)
@@ -60,7 +65,7 @@ class TestDetectConflicts:
                 continue
             paths = [random_walk_path(rng, grid, rng.choice(cells), 5, agent=i)
                      for i in range(3)]
-            _, counts, total = detect_conflicts(paths)
+            _, counts, total = detect_conflicts(grid, paths)
             assert sum(counts) == 2 * total
 
 
@@ -81,7 +86,7 @@ def path_sets(draw):
             moves = [cur[-1], *grid.neighbors(cur[-1])]
             cur.append(moves[i % len(moves)])
         paths.append(Path(agent, tuple(cur)))
-    return paths
+    return grid, paths
 
 
 def brute_against(a, paths):
@@ -95,12 +100,13 @@ class TestIndexMatchesPairScan:
     """The space-time index lists exactly the conflicts of a pairwise scan."""
 
     @settings(max_examples=200, deadline=None)
-    @given(paths=path_sets(), data=st.data())
-    def test_detect_and_conflicts_with(self, paths, data):
+    @given(sample=path_sets(), data=st.data())
+    def test_detect_and_conflicts_with(self, sample, data):
+        grid, paths = sample
         k = len(paths)
         brute = [c for i in range(k) for j in range(i + 1, k)
                  for c in brute_pair_conflicts(i, j, paths[i], paths[j])]
-        conflicts, counts, total = detect_conflicts(paths)
+        conflicts, counts, total = detect_conflicts(grid, paths)
         # equal lists: same conflicts with the same v and u, in
         # (a_i, a_j, t) order
         assert conflicts == brute
@@ -108,7 +114,7 @@ class TestIndexMatchesPairScan:
         assert sum(counts) == 2 * total
         a = data.draw(st.integers(0, k - 1))
         others = [p for p in paths if p.agent != a]
-        assert Occupancy(others).conflicts_with(paths[a]) == \
+        assert Occupancy(grid, others).conflicts_with(paths[a]) == \
             brute_against(a, paths)
 
 
@@ -156,7 +162,7 @@ class TestClassifier:
         grid = open_grid(1, 6)
         parked = Path(0, ((0, 1), (0, 2)))
         passer = Path(1, ((0, 5), (0, 4), (0, 3), (0, 2), (0, 1)))
-        conflicts, _, _ = detect_conflicts([parked, passer])
+        conflicts, _, _ = detect_conflicts(grid, [parked, passer])
         c = self.make(grid).classify(conflicts[0], [parked, passer],
                                      [[], []], {0: (0, 2), 1: (0, 1)})
         assert c.cls is ConflictClass.TARGET
@@ -165,7 +171,7 @@ class TestClassifier:
     def test_corridor_conflict(self):
         grid = grid_from_rows(DUMBBELL)
         p0, p1 = dumbbell_paths()
-        conflicts, _, _ = detect_conflicts([p0, p1])
+        conflicts, _, _ = detect_conflicts(grid, [p0, p1])
         c = self.make(grid).classify(pick_conflict(conflicts), [p0, p1],
                                      [[], []], {0: (0, 4), 1: (2, 0)})
         assert c.cls is ConflictClass.CORRIDOR
@@ -178,7 +184,7 @@ class TestClassifier:
         # same conflict pattern, but an open top row offers a detour
         grid = grid_from_rows([".....", ".....", ".@@@."])
         p0, p1 = dumbbell_paths()
-        conflicts, _, _ = detect_conflicts([p0, p1])
+        conflicts, _, _ = detect_conflicts(grid, [p0, p1])
         c = self.make(grid).classify(pick_conflict(conflicts), [p0, p1],
                                      [[], []], {0: (0, 4), 1: (2, 0)})
         assert c.cls is not ConflictClass.CORRIDOR
@@ -188,7 +194,7 @@ class TestClassifier:
         grid = grid_from_rows([".....", ".@@@.", "....."])
         p0 = Path(0, tuple((0, c) for c in range(5)))
         p1 = Path(1, tuple((0, 4 - c) for c in range(5)))
-        conflicts, _, _ = detect_conflicts([p0, p1])
+        conflicts, _, _ = detect_conflicts(grid, [p0, p1])
         c = self.make(grid).classify(pick_conflict(conflicts), [p0, p1],
                                      [[], []], {0: (0, 4), 1: (0, 0)})
         assert c.cls is not ConflictClass.CORRIDOR
@@ -197,7 +203,7 @@ class TestClassifier:
         grid = grid_from_rows(["@.@", "...", "@.@"])
         p0 = Path(0, ((1, 0), (1, 1), (1, 2)))
         p1 = Path(1, ((0, 1), (1, 1), (2, 1)))
-        conflicts, _, _ = detect_conflicts([p0, p1])
+        conflicts, _, _ = detect_conflicts(grid, [p0, p1])
         c = self.make(grid).classify(conflicts[0], [p0, p1], [[], []],
                                      {0: (1, 2), 1: (2, 1)})
         assert c.cls is ConflictClass.CARDINAL
@@ -206,7 +212,7 @@ class TestClassifier:
         grid = open_grid(2, 3)
         p0 = Path(0, ((0, 2), (0, 1), (0, 0)))  # forced through (0,1) at t=1
         p1 = Path(1, ((0, 0), (0, 1), (1, 1), (1, 2)))  # can reroute via row 1
-        conflicts, _, _ = detect_conflicts([p0, p1])
+        conflicts, _, _ = detect_conflicts(grid, [p0, p1])
         c = self.make(grid).classify(conflicts[0], [p0, p1], [[], []],
                                      {0: (0, 0), 1: (1, 2)})
         assert c.cls is ConflictClass.SEMI_CARDINAL
@@ -215,7 +221,7 @@ class TestClassifier:
         grid = open_grid(2, 3)
         p0 = Path(0, ((0, 0), (1, 0), (1, 1), (1, 2)))
         p1 = Path(1, ((0, 2), (0, 1), (1, 1), (1, 0)))
-        conflicts, _, _ = detect_conflicts([p0, p1])
+        conflicts, _, _ = detect_conflicts(grid, [p0, p1])
         target = next(c for c in conflicts if c.v == (1, 1))
         c = self.make(grid).classify(target, [p0, p1], [[], []],
                                      {0: (1, 2), 1: (1, 0)})
@@ -225,7 +231,7 @@ class TestClassifier:
         grid = open_grid(1, 6)
         parked = Path(0, ((0, 1), (0, 2)))
         passer = Path(1, ((0, 5), (0, 4), (0, 3), (0, 2), (0, 1)))
-        conflicts, _, _ = detect_conflicts([parked, passer])
+        conflicts, _, _ = detect_conflicts(grid, [parked, passer])
         plain = Classifier(grid, symmetry=False, prioritize=False)
         c = plain.classify(conflicts[0], [parked, passer], [[], []],
                            {0: (0, 2), 1: (0, 1)})
@@ -262,9 +268,10 @@ class TestSplitConflict:
         assert (a2, c2.v, c2.t) == (1, (1, 0), 5)
 
     def test_parent_paths_violate_their_constraint(self):
+        grid = open_grid(1, 3)
         p0 = Path(0, ((0, 0), (0, 1)))
         p1 = Path(1, ((0, 2), (0, 1)))
-        conflicts, _, _ = detect_conflicts([p0, p1])
+        conflicts, _, _ = detect_conflicts(grid, [p0, p1])
         for agent, cons in split_conflict(conflicts[0]):
             path = (p0, p1)[agent]
             assert path.at(cons.t) == cons.v

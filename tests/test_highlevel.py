@@ -172,7 +172,7 @@ class TestTreeInvariants:
             solver.solve()
             for node in solver.tree_nodes:
                 nodes += 1
-                conflicts, counts, total = detect_conflicts(node.paths)
+                conflicts, counts, total = detect_conflicts(inst.map, node.paths)
                 assert set(node.conflicts) == set(conflicts)
                 assert node.x_counts == counts
                 assert node.x_total == total
@@ -211,7 +211,7 @@ class TestTreeInvariants:
         def spy_plan(self, agent, ctable, occupancy, **kwargs):
             others = [p for m, p in current.items() if m != agent]
             assert occupancy_state(occupancy) == \
-                occupancy_state(Occupancy(others))
+                occupancy_state(Occupancy(self.grid, others))
             if node["child"] and node["replans"]:
                 seen["later_replans"] += 1
             result = plan(self, agent, ctable, occupancy, **kwargs)

@@ -11,8 +11,8 @@ from flexcbs.constraints import (ConstraintTable, Path, edge_constraint,
 from flexcbs.lowlevel import (INF, LowLevelRequest, Occupancy, compute_h,
                               earliest_arrival, fastar_search, focal_search)
 from flexcbs.map_io import GridMap
-from helpers import (brute_constrained_opt, brute_distances, grid_from_rows,
-                     occupancy_state, open_grid, random_grid,
+from helpers import (brute_constrained_opt, brute_distances, brute_steps,
+                     grid_from_rows, occupancy_state, open_grid, random_grid,
                      random_walk_path, small_grids)
 
 
@@ -21,7 +21,8 @@ def make_request(grid, start, goal, constraints=(), others=(), w=1.0,
     ctable = ConstraintTable(agent, list(constraints), targets=targets or {})
     return LowLevelRequest(
         grid=grid, agent=agent, start=start, goal=goal,
-        h=compute_h(grid, goal), ctable=ctable, occupancy=Occupancy(list(others)),
+        h=compute_h(grid, goal), ctable=ctable,
+        occupancy=Occupancy(grid, others),
         w=w, delta=delta, lb_parent=lb_parent)
 
 
@@ -53,26 +54,40 @@ class TestComputeH:
             assert h[i] == brute.get(cell, INF)
 
 
+def probe(occ, grid, u, v, t):
+    """occ.step_conflicts for the move u -> v arriving at t, given cells."""
+    iu, iv = grid.id_of(u), grid.id_of(v)
+    return occ.step_conflicts(iu, iv, t, t * len(grid.moves) + iv)
+
+
+def brute_step_conflicts(others, u, v, t):
+    """Conflicts of the move u -> v arriving at t with paths that end at
+    distinct cells, from their cells alone: a path at v at t, parked there
+    included, or one swapping v -> u."""
+    return sum(p.at(t) == v or (u != v and p.at(t - 1) == v and p.at(t) == u)
+               for p in others)
+
+
 class TestOccupancy:
     def test_incremental_build_matches_batch(self):
         rng = random.Random(4)
-        grid = open_grid(4, 4)
+        grid = open_grid(4, 5)
         cells = grid.passable_cells()
         paths = [random_walk_path(rng, grid, rng.choice(cells),
                                   rng.randint(0, 8), agent=a)
                  for a in range(6)]
         # parks where agent 0 parks, but later: the earlier time must stay
         paths.append(Path(6, paths[0].cells + paths[0].cells[-1:] * 3))
-        occ = Occupancy([])
+        occ = Occupancy(grid)
         for p in paths:
             occ.add(p)
-        batch = Occupancy(paths)
+        batch = Occupancy(grid, paths)
         assert occ.vertex == batch.vertex
         assert occ.edge == batch.edge
         assert occ.parked == batch.parked
         cell = paths[0].cells[-1]
-        assert occ.parked[cell] == min(p.cost for p in paths
-                                       if p.cells[-1] == cell)
+        assert occ.parked[grid.id_of(cell)] == min(p.cost for p in paths
+                                                   if p.cells[-1] == cell)
 
     def test_removing_every_path_empties_the_index(self):
         rng = random.Random(5)
@@ -81,7 +96,7 @@ class TestOccupancy:
         paths = [random_walk_path(rng, grid, rng.choice(cells),
                                   rng.randint(0, 8), agent=a)
                  for a in range(6)]
-        occ = Occupancy(paths)
+        occ = Occupancy(grid, paths)
         assert occ.vertex and occ.parked
         for p in reversed(paths[::2]):
             occ.remove(p)
@@ -95,7 +110,7 @@ class TestOccupancy:
         grid = open_grid(3, 4)
         cells = grid.passable_cells()
         current = {}
-        occ = Occupancy([])
+        occ = Occupancy(grid)
         shared_ends = 0
         for _ in range(200):
             a = rng.randrange(6)
@@ -115,31 +130,59 @@ class TestOccupancy:
             current[a] = p
             ends = [q.cells[-1] for q in current.values()]
             shared_ends += len(ends) > len(set(ends))
-            batch = Occupancy(list(current.values()))
+            batch = Occupancy(grid, current.values())
             assert occupancy_state(occ) == occupancy_state(batch)
             assert occ.held == current
         assert shared_ends > 20
 
     def test_vertex_conflict_counted(self):
+        grid = open_grid(2, 3)
         other = Path(1, ((0, 0), (0, 1), (0, 2)))
-        occ = Occupancy([other])
-        assert occ.step_conflicts((0, 0), (0, 1), 1) == 1
-        assert occ.step_conflicts((0, 0), (0, 1), 2) == 0
+        occ = Occupancy(grid, [other])
+        assert probe(occ, grid, (0, 0), (0, 1), 1) == 1
+        assert probe(occ, grid, (0, 0), (0, 1), 2) == 0
 
     def test_edge_swap_counted(self):
+        grid = open_grid(2, 3)
         other = Path(1, ((0, 1), (0, 0)))
-        occ = Occupancy([other])
+        occ = Occupancy(grid, [other])
         # moving (0,0) -> (0,1) at t=1 crosses the other agent head-on
-        assert occ.step_conflicts((0, 0), (0, 1), 1) == 1
+        assert probe(occ, grid, (0, 0), (0, 1), 1) == 1
         # arriving where the other agent arrives adds a vertex conflict too
         other2 = Path(2, ((0, 0), (0, 1)))
-        occ = Occupancy([Path(1, ((0, 1), (0, 0))), other2])
-        assert occ.step_conflicts((0, 0), (0, 1), 1) == 2
+        occ = Occupancy(grid, [Path(1, ((0, 1), (0, 0))), other2])
+        assert probe(occ, grid, (0, 0), (0, 1), 1) == 2
 
     def test_parked_agent_occupies_forever(self):
+        grid = open_grid(2, 3)
         other = Path(1, ((0, 0), (0, 1)))
-        occ = Occupancy([other])
-        assert occ.step_conflicts((0, 2), (0, 1), 7) == 1
+        occ = Occupancy(grid, [other])
+        assert probe(occ, grid, (0, 2), (0, 1), 7) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(grid=small_grids(), data=st.data())
+    def test_step_conflicts_match_brute_count(self, grid, data):
+        # on a non-square grid a key strided by the width instead of the
+        # number of cells aliases one timestep's cells with the next's
+        assume(grid.height != grid.width)
+        cells = grid.passable_cells()
+        assume(cells)
+        others = {}  # end cell -> path: agents' targets are distinct
+        for p in data.draw(st.lists(walks(grid, cells), max_size=4)):
+            others.setdefault(p.cells[-1], p)
+        others = list(others.values())
+        occ = Occupancy(grid, others)
+        t = data.draw(st.integers(1, 9))
+        if others and data.draw(st.booleans()):
+            # the reverse of another path's move: a swap
+            p = data.draw(st.sampled_from(others))
+            t = data.draw(st.integers(1, t))
+            u, v = p.at(t), p.at(t - 1)
+        else:
+            u = data.draw(st.sampled_from(cells))
+            v = data.draw(st.sampled_from(brute_steps(grid, u)))
+        assert probe(occ, grid, u, v, t) == \
+            brute_step_conflicts(others, u, v, t)
 
 
 class TestFocalSearch:
@@ -195,7 +238,7 @@ class TestFocalSearch:
         req = LowLevelRequest(grid=grid, agent=0, start=(0, 0), goal=(0, 2),
                               h=compute_h(grid, (0, 2)),
                               ctable=ConstraintTable(0, []),
-                              occupancy=Occupancy([]))
+                              occupancy=Occupancy(grid))
         assert focal_search(req) is None
 
     def test_goal_blocked_forever_infeasible(self):
@@ -387,6 +430,18 @@ class TestFailFast:
         assert elapsed < self.SLACK_S
 
     @pytest.mark.parametrize("search", [focal_search, fastar_search])
+    def test_goal_walled_in_by_other_targets(self, search):
+        # agents 1 and 2 finish on the two cells next to the corner goal by
+        # t = 5 and 6: the goal stays reachable, but only within 6 steps,
+        # and it lies 62 steps away
+        req = make_request(open_grid(32, 32), (0, 0), (31, 31),
+                           [length_leq(1, 5), length_leq(2, 6)],
+                           targets={1: (30, 31), 2: (31, 30)})
+        res, elapsed = self.timed(search, req)
+        assert res is None
+        assert elapsed < self.SLACK_S
+
+    @pytest.mark.parametrize("search", [focal_search, fastar_search])
     def test_feasible_length_leq_keeps_optimum(self, search):
         # the wait the vertex constraint forces is avoided by going down
         # first, so the optimum stays the distance of 62
@@ -462,6 +517,34 @@ class TestPrunedSweepsMatchBrute:
         others = data.draw(st.lists(walks(grid, cells), max_size=2))
         req = make_request(grid, start, goal, cs, others=others, w=w,
                            delta=delta, targets=targets)
+        brute = brute_constrained_opt(grid, cs, 0, start, goal, targets,
+                                      req.effective_horizon())
+        fres = fastar_search(req)
+        sres = focal_search(req)
+        assert (fres is None) == (brute is None)
+        assert (sres is None) == (brute is None)
+        if brute is not None:
+            assert fres.lb == brute
+            assert sres.lb <= brute <= sres.cost
+
+    @settings(max_examples=150, deadline=None)
+    @given(problem=constrained_problems(), data=st.data(),
+           w=st.sampled_from([1.0, 1.5]))
+    def test_search_around_other_targets_is_exact(self, problem, data, w):
+        """Other agents' LENGTH_LEQ constraints block their targets forever,
+        often walling in cells: the searches still find exactly the
+        constrained optimum, or fail when it does not exist."""
+        grid, cells, start, goal, cs, targets = problem
+        blocks = data.draw(st.lists(st.tuples(st.sampled_from(cells),
+                                              st.integers(0, 8)),
+                                    min_size=1, max_size=4))
+        cs = list(cs)
+        for agent, (target, t) in enumerate(blocks, start=3):
+            targets[agent] = target
+            cs.append(length_leq(agent, t))
+        others = data.draw(st.lists(walks(grid, cells), max_size=2))
+        req = make_request(grid, start, goal, cs, others=others, w=w,
+                           targets=targets)
         brute = brute_constrained_opt(grid, cs, 0, start, goal, targets,
                                       req.effective_horizon())
         fres = fastar_search(req)

@@ -2,12 +2,15 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flexcbs.constraints import Path
 from flexcbs.lowlevel import compute_h
 from flexcbs.map_io import AgentSpec, Instance
 from flexcbs.oracle import optimal_soc, validate
-from helpers import grid_from_rows, open_grid, random_instance, swap_instance
+from helpers import (grid_from_rows, open_grid, pair_scan_conflict_lines,
+                     random_instance, swap_instance)
 
 
 def paths_from_witness(instance, witness):
@@ -77,6 +80,45 @@ class TestValidate:
                Path(1, ((0, 3), (0, 2), (0, 1), (0, 0)))]
         report = validate(bad, inst)
         assert any("vertex conflict" in v and "t=2" in v for v in report)
+
+
+@st.composite
+def crowded_solutions(draw):
+    """An instance on a small open grid and one random walk per agent. Some
+    walks copy an earlier one and wait on at its end, and some retrace an
+    earlier one backwards, so shared ends, parked-agent vertex conflicts and
+    edge swaps are common."""
+    grid = open_grid(draw(st.integers(1, 3)), draw(st.integers(2, 4)))
+    cells = grid.passable_cells()
+    k = draw(st.integers(1, min(5, len(cells))))
+    paths = []
+    for agent in range(k):
+        kind = draw(st.integers(0, 2)) if paths else 0
+        if kind == 0:
+            cur = [draw(st.sampled_from(cells))]
+            for i in draw(st.lists(st.integers(0, 4), max_size=7)):
+                moves = [cur[-1], *grid.neighbors(cur[-1])]
+                cur.append(moves[i % len(moves)])
+        else:
+            other = list(draw(st.sampled_from(paths)).cells)
+            wait = other[-1:] * draw(st.integers(0, 3))
+            cur = other + wait if kind == 1 else other[::-1] + wait
+        paths.append(Path(agent, tuple(cur)))
+    inst = Instance(grid, tuple(AgentSpec(i, cells[i], cells[-1 - i])
+                                for i in range(k)))
+    return inst, paths
+
+
+class TestValidateMatchesPairScan:
+    @settings(max_examples=300, deadline=None)
+    @given(solution=crowded_solutions())
+    def test_conflict_lines_equal(self, solution):
+        inst, paths = solution
+        report = validate(paths, inst)
+        lines = [v for v in report if " conflict: " in v]
+        assert lines == pair_scan_conflict_lines(paths)
+        # the conflicts come last, after the per-agent lines
+        assert report[len(report) - len(lines):] == lines
 
 
 class TestOptimalSoc:
