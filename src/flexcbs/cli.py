@@ -87,6 +87,7 @@ def metrics_dict(metrics) -> dict:
         "expanded": metrics.expanded,
         "depth": metrics.depth,
         "gb_ratio": metrics.gb_ratio,
+        "low_level_expansions": metrics.low_level_expansions,
         "wall_time": metrics.wall_time,
         "violations": metrics.violations,
     }

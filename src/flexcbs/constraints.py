@@ -120,6 +120,12 @@ class ConstraintTable:
 
     Built per low-level search invocation from the agent's own constraints plus
     the target blocks induced by other agents' LENGTH_LEQ constraints.
+
+    The holding time of a goal, `hold_time(goal)`, is the earliest timestep
+    from which the agent may park there for good:
+    max(earliest_goal, last_block_on(goal) + 1), INF if the goal is blocked
+    forever. Every valid path finishes at a time t with
+    hold_time(goal) <= t <= latest_goal.
     """
 
     def __init__(self, agent: int, constraints: list[Constraint],
@@ -196,11 +202,14 @@ class ConstraintTable:
                 last = t
         return last
 
+    def hold_time(self, goal: Cell) -> float:
+        """Earliest timestep from which the agent may park at goal for good;
+        INF if goal is blocked forever."""
+        return max(self.earliest_goal, self.last_block_on(goal) + 1)
+
     def goal_arrival_ok(self, goal: Cell, t: int) -> bool:
         """Can the agent arrive at goal at t and park there forever?"""
-        if t < self.earliest_goal or t > self.latest_goal:
-            return False
-        return t > self.last_block_on(goal)
+        return self.hold_time(goal) <= t <= self.latest_goal
 
 
 def estimate_delays(constraints: list[Constraint], agent: int,

@@ -87,6 +87,9 @@ class RunMetrics:
     lb_final: float = 0.0
     soc: int | None = None
     wall_time: float = 0.0
+    # LowLevelResult.expansions summed over the root's and children's
+    # successful replans
+    low_level_expansions: int = 0
     flex_records: list[tuple[float, float, bool]] = field(default_factory=list)
     violations: list[str] = field(default_factory=list)
 
@@ -208,6 +211,7 @@ class Solver:
         self._ehat_n = 0
         self.lb_global = 0.0
         self.tree_nodes: list[CTNode] = []
+        self.metrics = RunMetrics()  # filled by solve()
 
     # ---------------- low-level plumbing ----------------
 
@@ -249,7 +253,10 @@ class Solver:
             occupancy=occupancy, w=self.config.w, delta=delta,
             lb_parent=lb_parent, reach=self.reach)
         search = fastar_search if self.config.low_level == "fastar" else focal_search
-        return search(req)
+        result = search(req)
+        if result is not None:
+            self.metrics.low_level_expansions += result.expansions
+        return result
 
     def _ehat(self) -> float:
         return self._ehat_sum / self._ehat_n if self._ehat_n else 0.0
@@ -415,7 +422,7 @@ class Solver:
 
     def solve(self) -> SolveResult:
         t_start = time.monotonic()
-        metrics = RunMetrics()
+        metrics = self.metrics
         deadline = t_start + self.config.time_limit
 
         root = self.make_root()

@@ -1,9 +1,13 @@
 """Single-agent space-time search: focal search and the two-phase FA* variant.
 
-Both searches share one search tree. Focal search expands nodes with f <= tau
-ordered by conflict count and returns the first goal path; FA* then keeps
-expanding by f-order from OPEN to tighten the returned lower bound up to the
-optimal constrained path cost.
+Both searches share one search tree. A state (v, t) has
+f = max(t + h(v), hold), where hold is the goal's holding time
+(`ConstraintTable.hold_time`): no valid path parks at its goal earlier, so
+f stays admissible and consistent. A state is a goal when v is the goal and
+t >= hold. Focal search expands nodes with f <= tau ordered by conflict count
+and returns the first goal path; FA* then keeps expanding by f-order from
+OPEN to tighten the returned lower bound up to the optimal constrained path
+cost, and stops once f reaches the cost of the path it holds.
 """
 
 from __future__ import annotations
@@ -252,6 +256,13 @@ def _search(req: LowLevelRequest, two_phase: bool) -> LowLevelResult | None:
     """Focal search over space-time states, then, if two_phase, FA*'s
     f-ordered phase on the same tree.
 
+    f = max(t + h, hold) with hold = ctable.hold_time(goal), and a state is
+    a goal when its cell is the goal and t >= hold: a state with
+    t + h > latest_goal is never generated, so that goal at t also satisfies
+    t <= latest_goal. Phase (ii) stops at the first OPEN entry with
+    f >= cost: a goal popped there has t == f == cost and would return the
+    lower bound the path already gives.
+
     A state is the single int s = t * N + v for cell id v at timestep t, with
     N = len(grid.moves): the key `Occupancy` files cell v at t under, so
     the conflict count of a step probes with the successor's own key. The
@@ -265,12 +276,14 @@ def _search(req: LowLevelRequest, two_phase: bool) -> LowLevelResult | None:
         return None
     start, goal = grid.id_of(req.start), grid.id_of(req.goal)
     horizon = req.effective_horizon()
-    earliest, latest = ctable.earliest_goal, ctable.latest_goal
+    latest = ctable.latest_goal
+    hold = ctable.hold_time(req.goal)
     # h is consistent, so a state with t + h > latest and all its descendants
     # reach the goal too late: fail now, or prune such states in expand().
-    # An unreachable goal (h = INF) with no latest goal fails at the first
-    # OPEN check instead, where f_min = INF.
-    if h[start] > latest or ctable.last_block_on(req.goal) >= latest:
+    # A goal blocked forever has hold = INF. An unreachable goal (h = INF)
+    # with no latest goal fails at the first OPEN check instead, where
+    # f_min = INF.
+    if h[start] > latest or hold > latest or hold == INF:
         return None
     if ctable.is_blocked(req.start, 0):
         return None
@@ -292,7 +305,6 @@ def _search(req: LowLevelRequest, two_phase: bool) -> LowLevelResult | None:
     else:
         t_cut, live = horizon + 1, None
     is_blocked, is_edge_blocked = ctable.is_blocked, ctable.is_edge_blocked
-    goal_ok, goal_cell = ctable.goal_arrival_ok, req.goal
     step_conflicts = req.occupancy.step_conflicts
     push, pop = heapq.heappush, heapq.heappop
 
@@ -305,7 +317,7 @@ def _search(req: LowLevelRequest, two_phase: bool) -> LowLevelResult | None:
     focal_heap: list = []  # (x, -t, f, ctr, s)
     next_ctr = itertools.count().__next__
 
-    f0 = max(h[start], earliest)
+    f0 = max(h[start], hold)
     # The focal bound tracks the rising f_min and never shrinks, so the final
     # path cost is within w * max{f_min at termination, parent lb} + delta.
     bound = threshold(req.w, f0, req.lb_parent, req.delta)
@@ -345,9 +357,9 @@ def _search(req: LowLevelRequest, two_phase: bool) -> LowLevelResult | None:
                 continue
             best_x[s2] = x2
             parent[s2] = s
-            f2 = t2 + hv  # f = max(t + h, earliest goal time)
-            if f2 < earliest:
-                f2 = earliest
+            f2 = t2 + hv  # f = max(t + h, hold)
+            if f2 < hold:
+                f2 = hold
             ctr = next_ctr()
             if known is None:
                 push(open_heap, (f2, -t2, ctr, s2))
@@ -392,7 +404,7 @@ def _search(req: LowLevelRequest, two_phase: bool) -> LowLevelResult | None:
             return None  # every open node lies above the bound
         t = -negt
         v = s + negt * n
-        if v == goal and goal_ok(goal_cell, t):
+        if v == goal and t >= hold:
             break
         closed.add(s)
         expand(s, v, t, x, into_focal=True)
@@ -412,11 +424,11 @@ def _search(req: LowLevelRequest, two_phase: bool) -> LowLevelResult | None:
             f, negt, _c, s = pop(open_heap)
             if s in closed:
                 continue
-            if f > cost + EPS:
+            if f >= cost:
                 break
             t = -negt
             v = s + negt * n
-            if v == goal and goal_ok(goal_cell, t):
+            if v == goal and t >= hold:
                 optimal = t
                 break
             closed.add(s)

@@ -89,6 +89,8 @@ class TestSolveRuns:
         assert payload["outcome"] == "solved"
         assert payload["soc"] == 6
         assert payload["violations"] == []
+        # each of the two agents expands at least its start state
+        assert payload["low_level_expansions"] >= 2
 
     def test_solution_file_and_sidecar(self, files, tmp_path):
         out = tmp_path / "solution.txt"

@@ -233,6 +233,33 @@ class TestTreeInvariants:
         assert seen["children"] > 50
         assert seen["later_replans"] >= 1
 
+    @pytest.mark.parametrize("low_level", LOW_LEVELS)
+    def test_low_level_expansions_sum_the_replans(self, low_level,
+                                                  monkeypatch):
+        """RunMetrics.low_level_expansions is the sum of the expansions of
+        every replan that returned a path, root and children alike."""
+        plan = Solver._plan
+        seen = {"expansions": 0, "replans": 0}
+
+        def spy_plan(self, *args, **kwargs):
+            result = plan(self, *args, **kwargs)
+            if result is not None:
+                seen["expansions"] += result.expansions
+                seen["replans"] += 1
+            return result
+
+        monkeypatch.setattr(Solver, "_plan", spy_plan)
+        rng = random.Random(27)
+        for _ in range(8):
+            inst = random_instance(rng, 6, 6, 5)
+            seen.update(expansions=0, replans=0)
+            res = solve(inst, SolverConfig(w=1.05, flex_mode=FlexMode.MFD,
+                                           low_level=low_level,
+                                           time_limit=0.5))
+            assert seen["replans"] >= inst.num_agents
+            assert res.metrics.low_level_expansions == seen["expansions"]
+            assert res.metrics.low_level_expansions > 0
+
     def test_metrics_sanity(self):
         rng = random.Random(23)
         for _ in range(10):

@@ -490,6 +490,26 @@ def walks(draw, grid, cells):
     return Path(9, tuple(cur))
 
 
+def check_searches_against_brute(grid, start, goal, cs, others, targets,
+                                 w=1.0, delta=0.0):
+    """Both searches fail exactly when brute force finds no path; otherwise
+    FA*'s lb is the constrained optimum, focal's lb <= it <= focal's cost,
+    and neither lb lies below the goal's holding time."""
+    req = make_request(grid, start, goal, cs, others=others, w=w,
+                       delta=delta, targets=targets)
+    brute = brute_constrained_opt(grid, cs, 0, start, goal, targets,
+                                  req.effective_horizon())
+    fres = fastar_search(req)
+    sres = focal_search(req)
+    assert (fres is None) == (brute is None)
+    assert (sres is None) == (brute is None)
+    if brute is not None:
+        hold = req.ctable.hold_time(goal)
+        assert fres.lb == brute
+        assert sres.lb <= brute <= sres.cost
+        assert fres.lb >= hold and sres.lb >= hold
+
+
 class TestPrunedSweepsMatchBrute:
     """The distance prunes are exact: results equal brute-force reachability."""
 
@@ -515,17 +535,8 @@ class TestPrunedSweepsMatchBrute:
     def test_search_lb_is_constrained_optimum(self, problem, data, w, delta):
         grid, cells, start, goal, cs, targets = problem
         others = data.draw(st.lists(walks(grid, cells), max_size=2))
-        req = make_request(grid, start, goal, cs, others=others, w=w,
-                           delta=delta, targets=targets)
-        brute = brute_constrained_opt(grid, cs, 0, start, goal, targets,
-                                      req.effective_horizon())
-        fres = fastar_search(req)
-        sres = focal_search(req)
-        assert (fres is None) == (brute is None)
-        assert (sres is None) == (brute is None)
-        if brute is not None:
-            assert fres.lb == brute
-            assert sres.lb <= brute <= sres.cost
+        check_searches_against_brute(grid, start, goal, cs, others, targets,
+                                     w, delta)
 
     @settings(max_examples=150, deadline=None)
     @given(problem=constrained_problems(), data=st.data(),
@@ -543,14 +554,53 @@ class TestPrunedSweepsMatchBrute:
             targets[agent] = target
             cs.append(length_leq(agent, t))
         others = data.draw(st.lists(walks(grid, cells), max_size=2))
-        req = make_request(grid, start, goal, cs, others=others, w=w,
-                           targets=targets)
-        brute = brute_constrained_opt(grid, cs, 0, start, goal, targets,
-                                      req.effective_horizon())
-        fres = fastar_search(req)
-        sres = focal_search(req)
-        assert (fres is None) == (brute is None)
-        assert (sres is None) == (brute is None)
-        if brute is not None:
-            assert fres.lb == brute
-            assert sres.lb <= brute <= sres.cost
+        check_searches_against_brute(grid, start, goal, cs, others, targets,
+                                     w)
+
+
+class TestHoldingTime:
+    """The goal's holding time floors f, so a replan whose goal is barred
+    late searches no further than its path."""
+
+    @pytest.mark.parametrize("search", [focal_search, fastar_search])
+    @pytest.mark.parametrize("w,delta", [(1.0, 0.0), (1.05, 8.0)])
+    def test_late_goal_block_is_the_bound(self, search, w, delta):
+        # the goal is 10 steps away but barred at t = 60, so every path
+        # parks from t = 61; agent 1 walks row 1 for the conflict counts.
+        # Without the floor both searches flood space-time for 12.9k-13.5k
+        # expansions, and focal reports lb 52 at delta = 8.
+        grid = open_grid(32, 32)
+        other = Path(1, tuple((1, c) for c in range(32)))
+        req = make_request(grid, (0, 0), (0, 10),
+                           [vertex_constraint(0, (0, 10), 60)],
+                           others=[other], w=w, delta=delta)
+        res = search(req)
+        assert res.cost == 61
+        assert res.lb == 61
+        assert res.expansions <= 200
+
+    @settings(max_examples=150, deadline=None)
+    @given(problem=constrained_problems(), data=st.data(),
+           w=st.sampled_from([1.0, 1.2, 2.0]),
+           delta=st.sampled_from([0.0, 2.0]))
+    def test_goal_blocks_against_brute(self, problem, data, w, delta):
+        grid, cells, start, goal, cs, targets = problem
+        on_goal = st.one_of(
+            st.builds(vertex_constraint, st.just(0), st.just(goal),
+                      st.integers(0, 12)),
+            st.builds(edge_constraint, st.just(0),
+                      st.sampled_from([goal, *grid.neighbors(goal)]),
+                      st.just(goal), st.integers(1, 12)))
+        cs = cs + data.draw(st.lists(on_goal, min_size=1, max_size=2))
+        others = data.draw(st.lists(walks(grid, cells), max_size=2))
+        check_searches_against_brute(grid, start, goal, cs, others, targets,
+                                     w, delta)
+
+    @settings(max_examples=200, deadline=None)
+    @given(problem=constrained_problems(), t=st.integers(0, 16))
+    def test_goal_arrival_ok_matches_three_clause_test(self, problem, t):
+        _grid, _cells, _start, goal, cs, targets = problem
+        table = ConstraintTable(0, cs, targets=targets)
+        old = (table.earliest_goal <= t <= table.latest_goal
+               and t > table.last_block_on(goal))
+        assert table.goal_arrival_ok(goal, t) == old
