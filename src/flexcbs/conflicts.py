@@ -12,7 +12,8 @@ from dataclasses import dataclass, replace
 from .constraints import (BY_PAIR, Conflict, ConflictClass, Constraint,
                           ConstraintTable, Path, edge_constraint, length_gt,
                           length_leq, range_constraint, vertex_constraint)
-from .lowlevel import Occupancy, compute_h, earliest_arrival
+from .lowlevel import (INF, DistanceTable, Occupancy, compute_h,
+                       earliest_arrival)
 from .map_io import Cell, GridMap
 
 
@@ -87,12 +88,46 @@ def _traversal(path: Path, corridor: Corridor) -> tuple[Cell, Cell, int] | None:
     return e1, e0, t0
 
 
+def detour_exists(grid: GridMap, ctable: ConstraintTable, start: Cell,
+                  dest: Cell, horizon: int, banned: frozenset[Cell],
+                  around: DistanceTable) -> bool:
+    """Whether `earliest_arrival(grid, ctable, start, dest, horizon,
+    banned=banned)` finds an arrival; `around` is
+    `compute_h(grid, dest, banned=banned)`.
+
+    Most probes are decided from the static table alone. It reads INF at the
+    start when no path avoids the banned cells. A descent along it that
+    enters no guarded cell is a path no constraint bars, arriving at
+    h(start) <= horizon. Only a descent through a guarded cell needs the
+    time-expanded sweep.
+    """
+    if start in banned or dest in banned:
+        return False
+    src = grid.id_of(start)
+    d0 = around[src]
+    if d0 == INF:
+        return False
+    if d0 <= horizon and not ctable.is_blocked(start, 0):
+        moves, dist, cell_of = grid.moves, around.dist, grid.cell_of
+        v = src
+        for d in range(d0, 0, -1):
+            v = next(nb for nb in moves[v] if dist[nb] == d - 1)
+            if cell_of[v] in ctable.guarded:
+                break
+        else:
+            return True
+    return earliest_arrival(grid, ctable, start, dest, horizon, banned=banned,
+                            h=around) is not None
+
+
 class Classifier:
     """Assigns priority classes; needs node context (paths, constraints).
 
-    `dist` maps a cell to its static distance table, a list indexed by cell
-    id (see `compute_h`); it is shared with the owner, and tables for
-    corridor exits are added on first use.
+    `dist` maps a cell to its static distance table, a `DistanceTable`
+    settled as it is read (see `compute_h`); it is shared with the owner, and
+    unsettled tables for corridor exits are added on first use. `_around`
+    holds, per (corridor interior, exit), the table to the exit around the
+    interior that answers detour probes.
     """
 
     def __init__(self, grid: GridMap, symmetry: bool = True,
@@ -102,8 +137,9 @@ class Classifier:
         self.symmetry = symmetry
         self.prioritize = prioritize
         self.dist = dist if dist is not None else {}
+        self._around: dict[tuple[frozenset[Cell], Cell], DistanceTable] = {}
 
-    def _h(self, cell: Cell) -> list[float]:
+    def _h(self, cell: Cell) -> DistanceTable:
         table = self.dist.get(cell)
         if table is None:
             table = self.dist[cell] = compute_h(self.grid, cell)
@@ -154,15 +190,18 @@ class Classifier:
         horizon = self.grid.num_passable() * 2
         banned = frozenset(corridor.interior)
         tmins = []
-        for agent, trav in ((c.a_i, trav_i), (c.a_j, trav_j)):
+        for agent, (_entry, exit_, _t) in ((c.a_i, trav_i), (c.a_j, trav_j)):
             ctable = ConstraintTable(agent, constraints[agent], targets=targets)
-            h = self._h(trav[1])
-            detour = earliest_arrival(self.grid, ctable, paths[agent].cells[0],
-                                      trav[1], horizon, banned=banned, h=h)
-            if detour is not None:
+            start = paths[agent].cells[0]
+            around = self._around.get((banned, exit_))
+            if around is None:
+                around = self._around[banned, exit_] = compute_h(
+                    self.grid, exit_, banned=banned)
+            if detour_exists(self.grid, ctable, start, exit_, horizon, banned,
+                             around):
                 return None
-            tmin = earliest_arrival(self.grid, ctable, paths[agent].cells[0],
-                                    trav[1], horizon, h=h)
+            tmin = earliest_arrival(self.grid, ctable, start, exit_, horizon,
+                                    h=self._h(exit_))
             if tmin is None:
                 return None
             tmins.append(tmin)

@@ -194,9 +194,11 @@ class Solver:
         self.k = instance.num_agents
         self.targets = {a.id: a.target for a in instance.agents}
         self.starts = {a.id: a.start for a in instance.agents}
-        # cell -> static distance table indexed by cell id; agent targets
-        # now, corridor exits when the classifier first needs them
-        self.dist = {a.target: compute_h(self.grid, a.target)
+        # cell -> lazily settled static distance table; agent targets now,
+        # each settled over the reach of its root search, corridor exits
+        # when the classifier first needs them
+        self.dist = {a.target: compute_h(self.grid, a.target, a.start,
+                                         config.w)
                      for a in instance.agents}
         self.classifier = Classifier(self.grid, symmetry=config.symmetry,
                                      prioritize=config.prioritize,

@@ -8,6 +8,11 @@ t >= hold. Focal search expands nodes with f <= tau ordered by conflict count
 and returns the first goal path; FA* then keeps expanding by f-order from
 OPEN to tighten the returned lower bound up to the optimal constrained path
 cost, and stops once f reaches the cost of the path it holds.
+
+h is the exact static distance to the goal, read from a `DistanceTable`
+whose backward BFS is settled only as far as the searches read it: a
+Solver settles each agent's table over the reach of its root search, and a
+read of an entry not yet settled resumes the BFS until it is.
 """
 
 from __future__ import annotations
@@ -26,28 +31,83 @@ INF = math.inf
 EPS = 1e-9
 
 
-def compute_h(grid: GridMap, target: Cell) -> list[float]:
-    """Exact static shortest-path distance to target via backward BFS, as a
-    list indexed by cell id; INF for blocked cells and cells that cannot
-    reach the target."""
-    if not grid.is_passable(target):
-        raise ValueError(f"target {target} is not passable")
-    moves = grid.moves
-    dist = [INF] * len(moves)
-    src = grid.id_of(target)
-    dist[src] = 0
-    frontier = [src]
-    d = 0
-    while frontier:
-        d += 1
+class DistanceTable:
+    """Exact static distances to one target, settled lazily by a backward BFS
+    that is resumed one level at a time (Silver's Reverse Resumable A*, in its
+    plain BFS form).
+
+    `dist` is a list indexed by cell id: an entry is exact once settled and
+    None before. After level d every cell within d steps is settled. When the
+    BFS runs out, every entry still None becomes INF: blocked cells and cells
+    that cannot reach the target. Hot loops bind `dist` and `settle` to
+    locals and call `settle(v)` on a None read; `table[v]` does both.
+    """
+
+    __slots__ = ("dist", "_level", "_moves", "_frontier")
+
+    def __init__(self, grid: GridMap, target: Cell,
+                 banned: frozenset[Cell] = frozenset()):
+        moves = grid.moves
+        dist: list[float | None] = [None] * len(moves)
+        for c in banned:  # never entered: the BFS treats them as settled
+            dist[grid.id_of(c)] = INF
+        src = grid.id_of(target)
+        dist[src] = 0
+        self.dist = dist
+        self._level = 0
+        self._moves = moves
+        self._frontier = [src]
+
+    def _step(self):
+        """Settle the next level of the BFS."""
+        dist, moves = self.dist, self._moves
+        d = self._level = self._level + 1
         nxt = []
-        for cur in frontier:
+        for cur in self._frontier:
             for nb in moves[cur]:
-                if dist[nb] is INF:  # every unreached entry is this object
+                if dist[nb] is None:
                     dist[nb] = d
                     nxt.append(nb)
-        frontier = nxt
-    return dist
+        self._frontier = nxt
+        if not nxt:  # in place: readers hold this list
+            dist[:] = [INF if x is None else x for x in dist]
+
+    def settle(self, v: int) -> float:
+        """The exact distance of cell id v, resuming the BFS until v is
+        settled."""
+        dist = self.dist
+        while dist[v] is None:
+            self._step()
+        return dist[v]
+
+    __getitem__ = settle
+
+    def settle_within(self, radius: float):
+        """Settle every cell within radius steps (all of them for INF)."""
+        while self._frontier and self._level < radius:
+            self._step()
+
+
+def compute_h(grid: GridMap, target: Cell, start: Cell | None = None,
+              w: float = 1.0,
+              banned: frozenset[Cell] = frozenset()) -> DistanceTable:
+    """Exact static shortest-path distance to target, as a `DistanceTable`;
+    `banned` cells are never entered and read INF.
+
+    With a start, the table is settled over the reach of a focal search from
+    start with weight w and no constraints: its bound is w * h(start), every
+    state it expands has h <= that bound and every successor one step more,
+    so every cell within floor(w * h(start)) + 1 steps. Other entries settle
+    when read.
+    """
+    if not grid.is_passable(target):
+        raise ValueError(f"target {target} is not passable")
+    table = DistanceTable(grid, target, banned)
+    if start is not None:
+        h0 = table.settle(grid.id_of(start))
+        if h0 < INF:
+            table.settle_within(math.floor(w * h0) + 1)
+    return table
 
 
 class Occupancy:
@@ -196,7 +256,7 @@ class LowLevelRequest:
     agent: int
     start: Cell
     goal: Cell
-    h: list[float]  # compute_h(grid, goal)
+    h: DistanceTable  # compute_h(grid, goal), settled as it is read
     ctable: ConstraintTable
     occupancy: Occupancy
     w: float = 1.0
@@ -283,7 +343,9 @@ def _search(req: LowLevelRequest, two_phase: bool) -> LowLevelResult | None:
     # A goal blocked forever has hold = INF. An unreachable goal (h = INF)
     # with no latest goal fails at the first OPEN check instead, where
     # f_min = INF.
-    if h[start] > latest or hold > latest or hold == INF:
+    dist, settle = h.dist, h.settle
+    h_start = settle(start)
+    if h_start > latest or hold > latest or hold == INF:
         return None
     if ctable.is_blocked(req.start, 0):
         return None
@@ -317,7 +379,7 @@ def _search(req: LowLevelRequest, two_phase: bool) -> LowLevelResult | None:
     focal_heap: list = []  # (x, -t, f, ctr, s)
     next_ctr = itertools.count().__next__
 
-    f0 = max(h[start], hold)
+    f0 = max(h_start, hold)
     # The focal bound tracks the rising f_min and never shrinks, so the final
     # path cost is within w * max{f_min at termination, parent lb} + delta.
     bound = threshold(req.w, f0, req.lb_parent, req.delta)
@@ -341,7 +403,9 @@ def _search(req: LowLevelRequest, two_phase: bool) -> LowLevelResult | None:
         for v2 in moves[v]:
             # cells cut off from the goal are never generated: moves are
             # symmetric, so they lie in another component than the start
-            hv = h[v2]
+            hv = dist[v2]
+            if hv is None:
+                hv = settle(v2)
             if t2 + hv > latest or (late and not live[v2]):
                 continue
             s2 = base + v2
@@ -457,22 +521,24 @@ def earliest_arrival(grid: GridMap, ctable: ConstraintTable, start: Cell,
                      dest: Cell, horizon: int,
                      banned: frozenset[Cell] = frozenset(),
                      arrive_ok: Callable[[Cell, int], bool] = _any_arrival,
-                     h: list[float] | None = None) -> int | None:
+                     h: DistanceTable | None = None) -> int | None:
     """Earliest timestep t <= horizon at which the agent can occupy dest with
     arrive_ok(dest, t) true, or None.
 
     Time-expanded BFS under the constraint table; used for corridor timing
     bounds and, with the goal-parking test as arrive_ok, for cardinality
     probes. `banned` cells are excluded entirely. `h` is the static distance
-    to dest, `compute_h(grid, dest)` (computed when None): a state with
-    t + h > horizon cannot arrive in time, even around banned cells, so it is
-    never generated.
+    to dest, `compute_h(grid, dest)` (built when None), possibly around some
+    of the banned cells: a state with t + h > horizon cannot arrive in time,
+    so it is never generated.
     """
     if h is None:
         h = compute_h(grid, dest)
+    dist, settle = h.dist, h.settle
     id_of = grid.id_of
     src = id_of(start)
-    if (h[src] > horizon or start in banned
+    h_src = settle(src)
+    if (h_src > horizon or start in banned
             or ctable.is_blocked(start, 0)):
         return None
     if start == dest and arrive_ok(dest, 0):
@@ -487,7 +553,12 @@ def earliest_arrival(grid: GridMap, ctable: ConstraintTable, start: Cell,
         slack = horizon - t
         for v in frontier:
             for v2 in moves[v]:
-                if v2 in banned_ids or v2 in nxt or h[v2] > slack:
+                if v2 in banned_ids or v2 in nxt:
+                    continue
+                hv = dist[v2]
+                if hv is None:
+                    hv = settle(v2)
+                if hv > slack:
                     continue
                 if v2 in guarded and (
                         ctable.is_blocked(cell_of[v2], t)

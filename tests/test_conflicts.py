@@ -1,14 +1,17 @@
 import random
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flexcbs.conflicts import (Classifier, Conflict, ConflictClass,
-                               detect_conflicts, find_corridor, pick_conflict,
-                               split_conflict, split_constraint_for)
+                               detect_conflicts, detour_exists, find_corridor,
+                               pick_conflict, split_conflict,
+                               split_constraint_for)
 from flexcbs.constraints import (ConstraintKind, ConstraintTable, Path,
+                                 edge_constraint, length_leq, range_constraint,
                                  vertex_constraint)
-from flexcbs.lowlevel import Occupancy, earliest_arrival
+from flexcbs.lowlevel import Occupancy, compute_h, earliest_arrival
 from flexcbs.map_io import GridMap
 from helpers import (brute_constrained_opt, brute_pair_conflicts,
                      grid_from_rows, open_grid, random_grid, random_walk_path)
@@ -236,6 +239,68 @@ class TestClassifier:
         c = plain.classify(conflicts[0], [parked, passer], [[], []],
                            {0: (0, 2), 1: (0, 1)})
         assert c.cls is ConflictClass.UNCLASSIFIED
+
+
+    @pytest.mark.xfail(strict=True, reason="the probe's table lacks other "
+                       "agents' LENGTH_LEQ target blocks")
+    def test_forced_sees_other_agents_target_blocks(self):
+        # agent 0 must reach (1,1) by t = 2 without (0,1) at t = 1; the
+        # only other way runs through (1,0), agent 2's target, which
+        # length_leq(2, 0) blocks for good
+        grid = open_grid(2, 3)
+        p0 = Path(0, ((0, 0), (0, 1), (1, 1)))
+        p1 = Path(1, ((0, 2), (0, 1), (0, 0)))
+        targets = {0: (1, 1), 1: (0, 0), 2: (1, 0)}
+        constraints = [(), (), (length_leq(2, 0),)]
+        c = Conflict(0, 1, (0, 1), 1)
+        replan = ConstraintTable(0, [split_constraint_for(0, c),
+                                     *constraints[2]], targets=targets)
+        assert earliest_arrival(grid, replan, (0, 0), (1, 1), 2,
+                                arrive_ok=replan.goal_arrival_ok) is None
+        classifier = Classifier(grid)
+        assert classifier._forced(0, c, [p0, p1, Path(2, ((1, 0),))],
+                                  constraints, targets)
+
+
+@st.composite
+def corridor_probes(draw):
+    """A small map with a degree-2 chain, an exit of it, a start and
+    constraints on agent 0 (agent 1's LENGTH_LEQ blocks its target)."""
+    height, width = draw(st.integers(1, 5)), draw(st.integers(2, 6))
+    passable = draw(st.lists(st.integers(0, 2).map(bool),
+                             min_size=height * width, max_size=height * width))
+    grid = GridMap(height, width, tuple(passable))
+    chains = [v for v in grid.passable_cells() if grid.degree(v) == 2]
+    assume(chains)
+    corridor = find_corridor(grid, draw(st.sampled_from(chains)))
+    cells = grid.passable_cells()
+    cell = st.sampled_from(cells)
+    step = st.integers(0, 8)
+    edge = cell.flatmap(lambda v: st.builds(
+        edge_constraint, st.just(0), st.sampled_from([v, *grid.neighbors(v)]),
+        st.just(v), st.integers(1, 8)))
+    constraint = st.one_of(
+        st.builds(vertex_constraint, st.just(0), cell, step), edge,
+        st.builds(range_constraint, st.just(0), cell, st.integers(0, 4)),
+        st.builds(length_leq, st.just(1), st.integers(0, 8)))
+    cs = draw(st.lists(constraint, max_size=6))
+    ctable = ConstraintTable(0, cs, targets={1: draw(cell)})
+    return (grid, corridor, draw(st.sampled_from(corridor.endpoints)),
+            draw(cell), ctable)
+
+
+class TestDetourProbe:
+    @settings(max_examples=300, deadline=None)
+    @given(probe=corridor_probes(), data=st.data())
+    def test_matches_the_sweep(self, probe, data):
+        grid, corridor, exit_, start, ctable = probe
+        banned = frozenset(corridor.interior)
+        horizon = data.draw(st.integers(0, 2 * grid.num_passable()))
+        around = compute_h(grid, exit_, banned=banned)
+        sweep = earliest_arrival(grid, ctable, start, exit_, horizon,
+                                 banned=banned)
+        assert detour_exists(grid, ctable, start, exit_, horizon, banned,
+                             around) == (sweep is not None)
 
 
 class TestSplitConflict:

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 
@@ -8,12 +9,13 @@ from hypothesis import strategies as st
 from flexcbs.constraints import (ConstraintTable, Path, edge_constraint,
                                  length_gt, length_leq, range_constraint,
                                  vertex_constraint)
+from flexcbs.highlevel import Solver, SolverConfig
 from flexcbs.lowlevel import (INF, LowLevelRequest, Occupancy, compute_h,
                               earliest_arrival, fastar_search, focal_search)
 from flexcbs.map_io import GridMap
 from helpers import (brute_constrained_opt, brute_distances, brute_steps,
                      grid_from_rows, occupancy_state, open_grid, random_grid,
-                     random_walk_path, small_grids)
+                     random_instance, random_walk_path, small_grids)
 
 
 def make_request(grid, start, goal, constraints=(), others=(), w=1.0,
@@ -49,9 +51,56 @@ class TestComputeH:
         target = data.draw(st.sampled_from(cells))
         h = compute_h(grid, target)
         brute = brute_distances(grid, target)
-        assert len(h) == grid.height * grid.width
+        assert len(h.dist) == grid.height * grid.width
         for i, cell in enumerate(grid.cell_of):
             assert h[i] == brute.get(cell, INF)
+
+    @settings(max_examples=200, deadline=None)
+    @given(grid=small_grids(), data=st.data(),
+           radius=st.one_of(st.integers(0, 12), st.just(INF)))
+    def test_lazy_reads_match_brute_bfs(self, grid, data, radius):
+        """Settled eagerly to any radius, then read in any order, every entry
+        is exact, unreachable cells read INF, and no entry is wrong before it
+        is read."""
+        cells = grid.passable_cells()
+        assume(cells)
+        target = data.draw(st.sampled_from(cells))
+        brute = brute_distances(grid, target)
+        h = compute_h(grid, target)
+        h.settle_within(radius)
+        for i, cell in enumerate(grid.cell_of):
+            want = brute.get(cell, INF)
+            if want <= radius:
+                assert h.dist[i] == want
+            assert h.dist[i] in (None, want)
+        order = data.draw(st.permutations(range(len(grid.cell_of))))
+        for i in order:
+            assert h.settle(i) == brute.get(grid.cell_of[i], INF)
+        assert h.dist == [brute.get(c, INF) for c in grid.cell_of]
+
+    @settings(max_examples=200, deadline=None)
+    @given(grid=small_grids(), data=st.data(),
+           w=st.sampled_from([1.0, 1.05, 1.5, 2.0]))
+    def test_start_settles_the_root_search_reach(self, grid, data, w):
+        cells = grid.passable_cells()
+        assume(cells)
+        target = data.draw(st.sampled_from(cells))
+        start = data.draw(st.sampled_from(cells))
+        brute = brute_distances(grid, target)
+        h = compute_h(grid, target, start, w)
+        h0 = brute.get(start, INF)
+        reach = math.floor(w * h0) + 1 if h0 < INF else INF
+        for i, cell in enumerate(grid.cell_of):
+            want = brute.get(cell, INF)
+            if want <= reach:
+                assert h.dist[i] == want
+            assert h.dist[i] in (None, want)
+
+    def test_banned_cells_are_walls(self):
+        grid = open_grid(2, 5)
+        h = compute_h(grid, (0, 4), banned=frozenset({(0, 2)}))
+        assert h[grid.id_of((0, 2))] == INF
+        assert h[grid.id_of((0, 0))] == 6
 
 
 def probe(occ, grid, u, v, t):
@@ -556,6 +605,61 @@ class TestPrunedSweepsMatchBrute:
         others = data.draw(st.lists(walks(grid, cells), max_size=2))
         check_searches_against_brute(grid, start, goal, cs, others, targets,
                                      w)
+
+
+class TestLazyTables:
+    """A table settled only to h(start) gives the searches exactly the
+    results of a fully settled one."""
+
+    @staticmethod
+    def tables(grid, start, goal):
+        lazy, full = compute_h(grid, goal), compute_h(grid, goal)
+        lazy.settle(grid.id_of(start))
+        full.settle_within(INF)
+        return lazy, full
+
+    @settings(max_examples=150, deadline=None)
+    @given(problem=constrained_problems(), data=st.data(),
+           w=st.sampled_from([1.0, 1.2, 2.0]),
+           delta=st.sampled_from([0.0, 2.0]))
+    def test_searches(self, problem, data, w, delta):
+        grid, cells, start, goal, cs, targets = problem
+        others = data.draw(st.lists(walks(grid, cells), max_size=2))
+        for search in (focal_search, fastar_search):
+            results = []
+            for h in self.tables(grid, start, goal):
+                req = make_request(grid, start, goal, cs, others=others, w=w,
+                                   delta=delta, targets=targets)
+                req.h = h
+                results.append(search(req))
+            assert results[0] == results[1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(problem=constrained_problems(), horizon=st.integers(0, 14),
+           goal_test=st.booleans(), data=st.data())
+    def test_earliest_arrival(self, problem, horizon, goal_test, data):
+        grid, cells, start, goal, cs, targets = problem
+        banned = frozenset(data.draw(st.lists(st.sampled_from(cells),
+                                              max_size=3)))
+        table = ConstraintTable(0, cs, targets=targets)
+        kwargs = {"arrive_ok": table.goal_arrival_ok} if goal_test else {}
+        lazy, full = self.tables(grid, start, goal)
+        assert earliest_arrival(grid, table, start, goal, horizon,
+                                banned=banned, h=lazy, **kwargs) == \
+            earliest_arrival(grid, table, start, goal, horizon,
+                             banned=banned, h=full, **kwargs)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_solver_tables_stay_exact(self, seed):
+        rng = random.Random(seed)
+        instance = random_instance(rng, 6, 7, 4, density=0.3)
+        solver = Solver(instance, SolverConfig(w=1.2, time_limit=10.0))
+        solver.solve()
+        grid = instance.map
+        for target, h in solver.dist.items():
+            brute = brute_distances(grid, target)
+            for i, cell in enumerate(grid.cell_of):
+                assert h.dist[i] in (None, brute.get(cell, INF))
 
 
 class TestHoldingTime:
