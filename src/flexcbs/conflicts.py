@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from .constraints import (BY_PAIR, Conflict, ConflictClass, Constraint,
                           ConstraintTable, Path, edge_constraint, length_gt,
                           length_leq, range_constraint, vertex_constraint)
-from .lowlevel import (INF, DistanceTable, Occupancy, compute_h,
+from .lowlevel import (INF, Distances, DistanceTable, Occupancy,
                        earliest_arrival)
 from .map_io import Cell, GridMap
 
@@ -123,27 +123,19 @@ def detour_exists(grid: GridMap, ctable: ConstraintTable, start: Cell,
 class Classifier:
     """Assigns priority classes; needs node context (paths, constraints).
 
-    `dist` maps a cell to its static distance table, a `DistanceTable`
-    settled as it is read (see `compute_h`); it is shared with the owner, and
-    unsettled tables for corridor exits are added on first use. `_around`
-    holds, per (corridor interior, exit), the table to the exit around the
-    interior that answers detour probes.
+    Its probes read static distances from `tables`, the grid's `Distances`
+    cache, shared with the owner (a fresh one if None): the table to an
+    agent's target for cardinality probes, and for a corridor the tables to
+    its exit, plain and around the interior, the second answering detour
+    probes.
     """
 
     def __init__(self, grid: GridMap, symmetry: bool = True,
-                 prioritize: bool = True,
-                 dist: dict[Cell, list[float]] | None = None):
+                 prioritize: bool = True, tables: Distances | None = None):
         self.grid = grid
         self.symmetry = symmetry
         self.prioritize = prioritize
-        self.dist = dist if dist is not None else {}
-        self._around: dict[tuple[frozenset[Cell], Cell], DistanceTable] = {}
-
-    def _h(self, cell: Cell) -> DistanceTable:
-        table = self.dist.get(cell)
-        if table is None:
-            table = self.dist[cell] = compute_h(self.grid, cell)
-        return table
+        self.tables = tables if tables is not None else Distances(grid)
 
     def classify(self, conflict: Conflict, paths: list[Path],
                  constraints: list[tuple[Constraint, ...]],
@@ -193,15 +185,11 @@ class Classifier:
         for agent, (_entry, exit_, _t) in ((c.a_i, trav_i), (c.a_j, trav_j)):
             ctable = ConstraintTable(agent, constraints[agent], targets=targets)
             start = paths[agent].cells[0]
-            around = self._around.get((banned, exit_))
-            if around is None:
-                around = self._around[banned, exit_] = compute_h(
-                    self.grid, exit_, banned=banned)
             if detour_exists(self.grid, ctable, start, exit_, horizon, banned,
-                             around):
+                             self.tables.get(exit_, banned)):
                 return None
             tmin = earliest_arrival(self.grid, ctable, start, exit_, horizon,
-                                    h=self._h(exit_))
+                                    h=self.tables.get(exit_))
             if tmin is None:
                 return None
             tmins.append(tmin)
@@ -239,7 +227,7 @@ class Classifier:
         return earliest_arrival(self.grid, ctable, path.cells[0],
                                 targets[agent], path.cost,
                                 arrive_ok=ctable.goal_arrival_ok,
-                                h=self._h(targets[agent])) is None
+                                h=self.tables.get(targets[agent])) is None
 
 
 def split_constraint_for(agent: int, c: Conflict) -> Constraint:

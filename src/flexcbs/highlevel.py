@@ -20,8 +20,8 @@ from .conflicts import (Classifier, Conflict, ConflictClass, conflict_counts,
 from .constraints import (Constraint, ConstraintKind, ConstraintTable, Path,
                           estimate_delays)
 from .flex import FlexMode
-from .lowlevel import (LowLevelRequest, Occupancy, compute_h, fastar_search,
-                       focal_search)
+from .lowlevel import (Distances, LowLevelRequest, Occupancy, compute_h,
+                       fastar_search, focal_search)
 from .map_io import Instance
 
 INF = math.inf
@@ -56,7 +56,6 @@ class CTNode:
     # one immutable tuple per agent; children share every slot they keep
     constraints: list[tuple[Constraint, ...]]
     paths: list[Path]
-    costs: list[int]
     lbs: list[float]
     conflicts: list[Conflict]
     x_counts: list[int]
@@ -65,11 +64,10 @@ class CTNode:
     seq: int
     parent: "CTNode | None" = None
     fhat: float = 0.0
-    gb_at_generation: bool = True
 
     @property
     def soc(self) -> int:
-        return sum(self.costs)
+        return sum(p.cost for p in self.paths)
 
     @property
     def solb(self) -> float:
@@ -194,17 +192,15 @@ class Solver:
         self.k = instance.num_agents
         self.targets = {a.id: a.target for a in instance.agents}
         self.starts = {a.id: a.start for a in instance.agents}
-        # cell -> lazily settled static distance table; agent targets now,
-        # each settled over the reach of its root search, corridor exits
-        # when the classifier first needs them
-        self.dist = {a.target: compute_h(self.grid, a.target, a.start,
-                                         config.w)
-                     for a in instance.agents}
+        # every static distance table the searches and probes read; the
+        # agents' target tables now, each settled over the reach of its root
+        # search, the others when first read
+        self.tables = Distances(self.grid, {
+            a.target: compute_h(self.grid, a.target, a.start, config.w)
+            for a in instance.agents})
         self.classifier = Classifier(self.grid, symmetry=config.symmetry,
                                      prioritize=config.prioritize,
-                                     dist=self.dist)
-        # the low level's goal-reachability tables (LowLevelRequest.reach)
-        self.reach: dict = {}
+                                     tables=self.tables)
         # the paths of the CT node being worked on, but for the agent being
         # replanned; built by make_root, moved between nodes by _sync
         self.occ: Occupancy | None = None
@@ -248,12 +244,11 @@ class Solver:
 
     def _plan(self, agent: int, ctable: ConstraintTable, occupancy: Occupancy,
               delta: float, lb_parent: float):
-        goal = self.targets[agent]
         req = LowLevelRequest(
             grid=self.grid, agent=agent, start=self.starts[agent],
-            goal=goal, h=self.dist[goal], ctable=ctable,
-            occupancy=occupancy, w=self.config.w, delta=delta,
-            lb_parent=lb_parent, reach=self.reach)
+            goal=self.targets[agent], ctable=ctable, occupancy=occupancy,
+            w=self.config.w, delta=delta, lb_parent=lb_parent,
+            tables=self.tables)
         search = fastar_search if self.config.low_level == "fastar" else focal_search
         result = search(req)
         if result is not None:
@@ -271,7 +266,6 @@ class Solver:
     def make_root(self) -> CTNode | None:
         constraints: list[tuple[Constraint, ...]] = [()] * self.k
         paths: list[Path] = []
-        costs: list[int] = []
         lbs: list[float] = []
         occ = self.occ = Occupancy(self.grid)  # the paths planned so far
         for agent in range(self.k):
@@ -281,12 +275,11 @@ class Solver:
                 return None
             occ.add(result.path)
             paths.append(result.path)
-            costs.append(result.cost)
             lbs.append(result.lb)
         conflicts, counts, total = detect_conflicts(self.grid, paths)
-        root = CTNode(constraints=constraints, paths=paths, costs=costs,
-                      lbs=lbs, conflicts=conflicts, x_counts=counts,
-                      x_total=total, depth=0, seq=self._next_seq())
+        root = CTNode(constraints=constraints, paths=paths, lbs=lbs,
+                      conflicts=conflicts, x_counts=counts, x_total=total,
+                      depth=0, seq=self._next_seq())
         self._set_fhat(root)
         if self.config.keep_tree:
             self.tree_nodes.append(root)
@@ -318,13 +311,14 @@ class Solver:
                 out.append(m)
         return out
 
-    def _compute_flex(self, lbs: list[float], costs: list[int], agent: int,
+    def _compute_flex(self, lbs: list[float], paths: list[Path], agent: int,
                       parent: CTNode, delay_sum: int,
                       frontier: Frontier) -> flexmod.FlexComputation | None:
         mode = self.config.flex_mode
         if mode is FlexMode.NONE:
             return None
         w = self.config.w
+        costs = [p.cost for p in paths]
         delta_max = flexmod.max_allowed_flex(w, lbs, costs, agent)
         x_i = parent.x_counts[agent]
         x_total = parent.x_total
@@ -350,7 +344,6 @@ class Solver:
         constraints = list(parent.constraints)
         constraints[agent] = (*constraints[agent], constraint)
         paths = list(parent.paths)
-        costs = list(parent.costs)
         lbs = list(parent.lbs)
         conflicts = list(parent.conflicts)
         replans = self._replan_set(parent.paths, agent, constraint)
@@ -361,24 +354,23 @@ class Solver:
                 return None
             self._sync(paths, skip=r)
             delay_sum = estimate_delays(rel, r, parent.paths[r],
-                                        parent.costs[r])
-            fc = self._compute_flex(lbs, costs, r, parent, delay_sum, frontier)
+                                        parent.paths[r].cost)
+            fc = self._compute_flex(lbs, paths, r, parent, delay_sum, frontier)
             delta = fc.delta if fc is not None else 0.0
             result = self._plan(r, ctable, self.occ, delta=delta,
                                 lb_parent=lbs[r])
             if result is None:
                 return None
             paths[r] = result.path
-            costs[r] = result.cost
             lbs[r] = result.lb
-            usage = costs[r] - self.config.w * lbs[r]
+            usage = result.cost - self.config.w * lbs[r]
             metrics.flex_records.append(
                 (delta, usage, fc is None or fc.delta_max >= 0))
             # incremental conflict update for the replanned agent
             conflicts = [c for c in conflicts if r not in (c.a_i, c.a_j)]
             conflicts.extend(self.occ.conflicts_with(result.path))
-        child = CTNode(constraints=constraints, paths=paths, costs=costs,
-                       lbs=lbs, conflicts=conflicts,
+        child = CTNode(constraints=constraints, paths=paths, lbs=lbs,
+                       conflicts=conflicts,
                        x_counts=conflict_counts(conflicts, self.k),
                        x_total=len(conflicts), depth=parent.depth + 1,
                        seq=self._next_seq(), parent=parent)
@@ -387,8 +379,7 @@ class Solver:
         self._ehat_n += 1
         self._set_fhat(child)
         metrics.generated += 1
-        child.gb_at_generation = child.soc <= self.config.w * self.lb_global + EPS
-        if child.gb_at_generation:
+        if child.soc <= self.config.w * self.lb_global + EPS:
             metrics.gb_generated += 1
         if child.soc > self.config.w * child.solb + EPS:
             metrics.violations.append(
@@ -412,8 +403,8 @@ class Solver:
             # lower bounds
             adopted = CTNode(
                 constraints=node.constraints,
-                paths=list(child.paths), costs=list(child.costs),
-                lbs=list(node.lbs), conflicts=list(child.conflicts),
+                paths=list(child.paths), lbs=list(node.lbs),
+                conflicts=list(child.conflicts),
                 x_counts=list(child.x_counts), x_total=child.x_total,
                 depth=node.depth, seq=self._next_seq(), parent=node.parent)
             self._set_fhat(adopted)
@@ -435,7 +426,6 @@ class Solver:
         metrics.generated += 1
         metrics.lb0 = root.solb
         self.lb_global = root.solb
-        root.gb_at_generation = True
         metrics.gb_generated += 1
 
         frontier = Frontier(self.config.w)

@@ -9,10 +9,11 @@ and returns the first goal path; FA* then keeps expanding by f-order from
 OPEN to tighten the returned lower bound up to the optimal constrained path
 cost, and stops once f reaches the cost of the path it holds.
 
-h is the exact static distance to the goal, read from a `DistanceTable`
-whose backward BFS is settled only as far as the searches read it: a
-Solver settles each agent's table over the reach of its root search, and a
-read of an entry not yet settled resumes the BFS until it is.
+h is the exact static distance to the goal. Every static table comes from
+one per-grid cache, `Distances`: a `DistanceTable` per (target, banned
+cells), a backward BFS settled only as far as it is read. A Solver settles
+each agent's over the reach of its root search. The goal's table around
+cells blocked forever says which cells still reach the goal.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Mapping
+from dataclasses import dataclass
 
 from .constraints import BY_PAIR, Conflict, ConstraintTable, Path
 from .flex import threshold
@@ -108,6 +109,33 @@ def compute_h(grid: GridMap, target: Cell, start: Cell | None = None,
         if h0 < INF:
             table.settle_within(math.floor(w * h0) + 1)
     return table
+
+
+class Distances:
+    """The static distance tables of one grid, one per (target, banned
+    cells), each built once through `compute_h` and settled as it is read.
+    `seeds` maps targets to tables the owner built itself, banning nothing.
+    A Solver owns one and shares it with its `Classifier` and searches.
+    """
+
+    def __init__(self, grid: GridMap,
+                 seeds: Mapping[Cell, DistanceTable] | None = None):
+        self.grid = grid
+        self._tables = {(target, frozenset()): table
+                        for target, table in (seeds or {}).items()}
+
+    def get(self, target: Cell,
+            banned: frozenset[Cell] = frozenset()) -> DistanceTable:
+        key = (target, banned)
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = compute_h(self.grid, target,
+                                                  banned=banned)
+        return table
+
+    def items(self):
+        """((target, banned cells), table) for every table built so far."""
+        return self._tables.items()
 
 
 class Occupancy:
@@ -256,16 +284,18 @@ class LowLevelRequest:
     agent: int
     start: Cell
     goal: Cell
-    h: DistanceTable  # compute_h(grid, goal), settled as it is read
     ctable: ConstraintTable
     occupancy: Occupancy
     w: float = 1.0
     delta: float = 0.0
     lb_parent: float = 0.0
-    # (goal id, cells blocked forever) -> _reaching(grid, ...): searches that
-    # share this dict, such as one Solver's, run each of those sweeps once
-    reach: dict[tuple[int, frozenset[Cell]], bytearray] = field(
-        default_factory=dict)
+    # h = tables.get(goal), and the table around cells blocked forever;
+    # shared by one Solver's searches (a fresh cache if None)
+    tables: Distances | None = None
+
+    def __post_init__(self):
+        if self.tables is None:
+            self.tables = Distances(self.grid)
 
     def effective_horizon(self) -> int:
         return self.ctable.latest_constraint_t + self.grid.num_passable() + 1
@@ -297,21 +327,6 @@ def _guarded_ids(grid: GridMap, ctable: ConstraintTable) -> set[int]:
     return {id_of(c) for c in ctable.guarded if grid.in_bounds(c)}
 
 
-def _reaching(grid: GridMap, goal: int, walls: set[int]) -> bytearray:
-    """Id -> 1 if the cell reaches goal without entering a wall cell, else 0
-    (so 0 for the walls themselves)."""
-    moves = grid.moves
-    live = bytearray(len(moves))
-    live[goal] = 1
-    stack = [goal]
-    while stack:
-        for nb in moves[stack.pop()]:
-            if not live[nb] and nb not in walls:
-                live[nb] = 1
-                stack.append(nb)
-    return live
-
-
 def _search(req: LowLevelRequest, two_phase: bool) -> LowLevelResult | None:
     """Focal search over space-time states, then, if two_phase, FA*'s
     f-ordered phase on the same tree.
@@ -331,7 +346,7 @@ def _search(req: LowLevelRequest, two_phase: bool) -> LowLevelResult | None:
     only for the cell-keyed constraint probes of guarded cells and for the
     returned path.
     """
-    ctable, grid, h = req.ctable, req.grid, req.h
+    ctable, grid, tables = req.ctable, req.grid, req.tables
     if ctable.infeasible:
         return None
     start, goal = grid.id_of(req.start), grid.id_of(req.goal)
@@ -343,6 +358,7 @@ def _search(req: LowLevelRequest, two_phase: bool) -> LowLevelResult | None:
     # A goal blocked forever has hold = INF. An unreachable goal (h = INF)
     # with no latest goal fails at the first OPEN check instead, where
     # f_min = INF.
+    h = tables.get(req.goal)
     dist, settle = h.dist, h.settle
     h_start = settle(start)
     if h_start > latest or hold > latest or hold == INF:
@@ -354,18 +370,17 @@ def _search(req: LowLevelRequest, two_phase: bool) -> LowLevelResult | None:
     guarded = _guarded_ids(grid, ctable)
     # From t_cut on, every cell some other agent's LENGTH_LEQ blocks stays
     # blocked, so a state at t >= t_cut whose cell cannot reach the goal
-    # around those cells has no goal descendant: it is never generated.
+    # around those cells (INF in its table, settled in full so the test is
+    # one read) has no goal descendant: it is never generated.
     walls = ctable.blocked_from
     if walls:
         t_cut = max(walls.values())
-        key = (goal, frozenset(walls))
-        live = req.reach.get(key)
-        if live is None:
-            live = req.reach[key] = _reaching(
-                grid, goal, {grid.id_of(c) for c in walls
-                             if grid.in_bounds(c)})
+        around = tables.get(req.goal, frozenset(walls))
+        around.settle_within(INF)
+        adist = around.dist
     else:
-        t_cut, live = horizon + 1, None
+        t_cut, adist = horizon + 1, None
+    inf = INF
     is_blocked, is_edge_blocked = ctable.is_blocked, ctable.is_edge_blocked
     step_conflicts = req.occupancy.step_conflicts
     push, pop = heapq.heappush, heapq.heappop
@@ -406,7 +421,7 @@ def _search(req: LowLevelRequest, two_phase: bool) -> LowLevelResult | None:
             hv = dist[v2]
             if hv is None:
                 hv = settle(v2)
-            if t2 + hv > latest or (late and not live[v2]):
+            if t2 + hv > latest or (late and adist[v2] == inf):
                 continue
             s2 = base + v2
             if s2 in closed:

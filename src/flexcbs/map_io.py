@@ -4,8 +4,9 @@ Cells are (row, col) tuples at every public boundary: instances, paths,
 constraints, conflicts and CLI output. Scenario files store (x, y) =
 (col, row) and are converted on ingestion. Inside the search kernel a cell is
 a flat id `row * width + col`: `GridMap.moves` is a list indexed by id, and
-so is the `dist` list of a `lowlevel.compute_h` table, whose entries are
-settled lazily (None until the backward BFS reaches them). `GridMap.id_of`
+so is the `dist` list of every distance table in a `lowlevel.Distances`
+cache, whose entries are settled lazily (None until the backward BFS
+reaches them). `GridMap.id_of`
 maps a cell to its id and `GridMap.cell_of` maps an id back to the grid's
 own cell tuple.
 A cell id v at timestep t is the space-time key `t * N + v`, with

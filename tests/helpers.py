@@ -46,15 +46,17 @@ def brute_steps(grid: GridMap, cell: Cell) -> list[Cell]:
                                    (r, c + 1)) if grid.is_passable(nb)]
 
 
-def brute_distances(grid: GridMap, target: Cell) -> dict[Cell, int]:
-    """Static distance to target from every cell that can reach it, by a
-    BFS over cell tuples; the reference for `compute_h`."""
+def brute_distances(grid: GridMap, target: Cell,
+                    banned: frozenset[Cell] = frozenset()) -> dict[Cell, int]:
+    """Static distance to target from every cell that can reach it without
+    entering a banned cell, by a BFS over cell tuples; the reference for
+    `compute_h`."""
     dist = {target: 0}
     queue = deque([target])
     while queue:
         cur = queue.popleft()
         for nb in brute_steps(grid, cur):
-            if nb not in dist:
+            if nb not in dist and nb not in banned:
                 dist[nb] = dist[cur] + 1
                 queue.append(nb)
     return dist

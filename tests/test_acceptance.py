@@ -187,7 +187,7 @@ def test_criterion_05_fastar_lb_dominance(capsys):
         targets = {1: rng.choice(cells)}
         ctable = ConstraintTable(0, cs, targets=targets)
         req = LowLevelRequest(grid=grid, agent=0, start=start, goal=goal,
-                              h=compute_h(grid, goal), ctable=ctable,
+                              ctable=ctable,
                               occupancy=Occupancy(grid, others),
                               w=rng.choice([1.0, 1.05, 1.5, 2.0]),
                               delta=rng.choice([0.0, 1.0, 3.0]))

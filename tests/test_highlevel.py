@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from flexcbs.conflicts import detect_conflicts
+from flexcbs.conflicts import Classifier, detect_conflicts, split_conflict
+from flexcbs.constraints import ConflictClass, ConstraintKind
 from flexcbs.flex import FlexMode
 from flexcbs.highlevel import Solver, SolverConfig, solve
 from flexcbs.lowlevel import Occupancy
@@ -115,11 +116,28 @@ class TestCorridorConflict:
             assert res.metrics.soc == opt.soc
             assert validate(res.paths, inst) == []
 
-    def test_symmetry_split_constraints_bind_both_paths(self):
+    def test_symmetry_split_constraints_bind_both_paths(self, monkeypatch):
+        """Each corridor split bars both parent paths, so neither child
+        inherits its parent's path unchanged."""
+        seen = []
+        classify = Classifier.classify
+
+        def spy(self, conflict, paths, constraints, targets):
+            result = classify(self, conflict, paths, constraints, targets)
+            if result.cls is ConflictClass.CORRIDOR:
+                seen.append((result, list(paths)))
+            return result
+
+        monkeypatch.setattr(Classifier, "classify", spy)
         inst = corridor_instance()
-        res = solve(inst, SolverConfig(w=1.0, symmetry=True, keep_tree=False))
+        res = solve(inst, SolverConfig(w=1.0, symmetry=True))
         assert res.outcome == "solved"
         assert validate(res.paths, inst) == []
+        assert seen
+        for conflict, paths in seen:
+            for agent, c in split_conflict(conflict):
+                assert c.kind is ConstraintKind.RANGE
+                assert any(paths[agent].at(t) == c.v for t in range(c.t + 1))
 
 
 class TestBypass:

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from flexcbs import lowlevel
 from flexcbs.constraints import (ConstraintTable, Path, edge_constraint,
                                  length_gt, length_leq, range_constraint,
                                  vertex_constraint)
 from flexcbs.highlevel import Solver, SolverConfig
-from flexcbs.lowlevel import (INF, LowLevelRequest, Occupancy, compute_h,
-                              earliest_arrival, fastar_search, focal_search)
+from flexcbs.lowlevel import (INF, Distances, LowLevelRequest, Occupancy,
+                              compute_h, earliest_arrival, fastar_search,
+                              focal_search)
 from flexcbs.map_io import GridMap
 from helpers import (brute_constrained_opt, brute_distances, brute_steps,
                      grid_from_rows, occupancy_state, open_grid, random_grid,
@@ -19,13 +21,12 @@ from helpers import (brute_constrained_opt, brute_distances, brute_steps,
 
 
 def make_request(grid, start, goal, constraints=(), others=(), w=1.0,
-                 delta=0.0, lb_parent=0.0, agent=0, targets=None):
+                 delta=0.0, lb_parent=0.0, agent=0, targets=None, tables=None):
     ctable = ConstraintTable(agent, list(constraints), targets=targets or {})
     return LowLevelRequest(
-        grid=grid, agent=agent, start=start, goal=goal,
-        h=compute_h(grid, goal), ctable=ctable,
+        grid=grid, agent=agent, start=start, goal=goal, ctable=ctable,
         occupancy=Occupancy(grid, others),
-        w=w, delta=delta, lb_parent=lb_parent)
+        w=w, delta=delta, lb_parent=lb_parent, tables=tables)
 
 
 class TestComputeH:
@@ -285,7 +286,6 @@ class TestFocalSearch:
     def test_unreachable_goal(self):
         grid = grid_from_rows([".@."])
         req = LowLevelRequest(grid=grid, agent=0, start=(0, 0), goal=(0, 2),
-                              h=compute_h(grid, (0, 2)),
                               ctable=ConstraintTable(0, []),
                               occupancy=Occupancy(grid))
         assert focal_search(req) is None
@@ -629,8 +629,8 @@ class TestLazyTables:
             results = []
             for h in self.tables(grid, start, goal):
                 req = make_request(grid, start, goal, cs, others=others, w=w,
-                                   delta=delta, targets=targets)
-                req.h = h
+                                   delta=delta, targets=targets,
+                                   tables=Distances(grid, {goal: h}))
                 results.append(search(req))
             assert results[0] == results[1]
 
@@ -649,17 +649,46 @@ class TestLazyTables:
             earliest_arrival(grid, table, start, goal, horizon,
                              banned=banned, h=full, **kwargs)
 
-    @pytest.mark.parametrize("seed", range(4))
+    # each seed's solve builds tables around other agents' targets; seed 10
+    # also probes a corridor, around its interior
+    @pytest.mark.parametrize("seed", [0, 1, 2, 10])
     def test_solver_tables_stay_exact(self, seed):
         rng = random.Random(seed)
         instance = random_instance(rng, 6, 7, 4, density=0.3)
         solver = Solver(instance, SolverConfig(w=1.2, time_limit=10.0))
         solver.solve()
+        assert solver.classifier.tables is solver.tables
         grid = instance.map
-        for target, h in solver.dist.items():
-            brute = brute_distances(grid, target)
+        banned_keys = 0
+        for (target, banned), h in solver.tables.items():
+            brute = brute_distances(grid, target, banned)
             for i, cell in enumerate(grid.cell_of):
                 assert h.dist[i] in (None, brute.get(cell, INF))
+            banned_keys += bool(banned)
+        assert banned_keys >= 1
+
+    def test_searches_share_the_table_around_walls(self, monkeypatch):
+        """Two searches sharing one cache, with the same cell blocked for
+        good by another agent's target, build the goal's table around that
+        cell once: one Solver's searches repeat such keys thousands of
+        times."""
+        built = []
+        real = lowlevel.compute_h
+
+        def counting(grid, target, *args, **kwargs):
+            built.append((target, kwargs.get("banned", frozenset())))
+            return real(grid, target, *args, **kwargs)
+
+        monkeypatch.setattr(lowlevel, "compute_h", counting)
+        grid = open_grid(4, 4)
+        tables = Distances(grid)
+        for start in ((0, 0), (3, 0)):
+            req = make_request(grid, start, (3, 3), [length_leq(1, 2)],
+                               targets={1: (1, 2)}, tables=tables)
+            assert focal_search(req) is not None
+        walls = frozenset({(1, 2)})
+        assert built == [((3, 3), frozenset()), ((3, 3), walls)]
+        assert None not in tables.get((3, 3), walls).dist
 
 
 class TestHoldingTime:
