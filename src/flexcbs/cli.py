@@ -64,7 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--prioritize", action=argparse.BooleanOptionalAction,
                     default=True)
     ap.add_argument("--symmetry", action=argparse.BooleanOptionalAction,
-                    default=True)
+                    default=True,
+                    help="turn target-conflict reasoning on or off")
     ap.add_argument("--time-limit", type=positive_seconds, default=60.0)
     ap.add_argument("--out", default=None, help="solution output path")
     return ap

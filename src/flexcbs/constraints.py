@@ -30,7 +30,7 @@ class Path:
 class ConflictClass(IntEnum):
     """Priority classes; lower value = resolved first."""
     TARGET = 0
-    CORRIDOR = 1
+    CORRIDOR = 1  # never assigned; kept until the benchmark drops its hook
     CARDINAL = 2
     SEMI_CARDINAL = 3
     NON_CARDINAL = 4
@@ -47,11 +47,6 @@ class Conflict:
     cls: ConflictClass = ConflictClass.UNCLASSIFIED
     # target-conflict data: the agent whose target is contested
     target_agent: int | None = None
-    # corridor-conflict data
-    exit_i: Cell | None = None
-    exit_j: Cell | None = None
-    t_min_i: int | None = None
-    t_min_j: int | None = None
 
     @property
     def is_edge(self) -> bool:
@@ -68,7 +63,6 @@ BY_PAIR = attrgetter("a_i", "a_j", "t")  # the order conflict lists are kept in
 class ConstraintKind(Enum):
     VERTEX = "vertex"
     EDGE = "edge"
-    RANGE = "range"
     LENGTH_LEQ = "length_leq"
     LENGTH_GT = "length_gt"
 
@@ -79,7 +73,6 @@ class Constraint:
 
     - VERTEX(agent, v, t): may not occupy v at t.
     - EDGE(agent, u, v, t): may not move u -> v arriving at t.
-    - RANGE(agent, v, t): may not occupy v at any timestep in [0, t].
     - LENGTH_LEQ(agent, t): must finish with cost <= t; every other agent may
       not occupy this agent's target at any timestep >= t.
     - LENGTH_GT(agent, t): must finish with cost > t.
@@ -101,10 +94,6 @@ def vertex_constraint(agent: int, v: Cell, t: int) -> Constraint:
 
 def edge_constraint(agent: int, u: Cell, v: Cell, t: int) -> Constraint:
     return Constraint(ConstraintKind.EDGE, agent, t, v=v, u=u)
-
-
-def range_constraint(agent: int, v: Cell, t_ub: int) -> Constraint:
-    return Constraint(ConstraintKind.RANGE, agent, t_ub, v=v)
 
 
 def length_leq(agent: int, t: int) -> Constraint:
@@ -133,7 +122,6 @@ class ConstraintTable:
         self.agent = agent
         self._vertex: set[tuple[Cell, int]] = set()
         self._edge: set[tuple[Cell, Cell, int]] = set()
-        self._range_ub: dict[Cell, int] = {}        # blocked for all t <= ub
         self.blocked_from: dict[Cell, int] = {}     # blocked for all t >= value
         self.earliest_goal = 0
         self.latest_goal = INF
@@ -144,7 +132,7 @@ class ConstraintTable:
         targets = targets or {}
         for c in constraints:
             if c.kind in (ConstraintKind.VERTEX, ConstraintKind.EDGE,
-                          ConstraintKind.RANGE, ConstraintKind.LENGTH_GT):
+                          ConstraintKind.LENGTH_GT):
                 if c.agent != agent:
                     continue
             if c.kind is ConstraintKind.VERTEX:
@@ -153,10 +141,6 @@ class ConstraintTable:
                 self.latest_constraint_t = max(self.latest_constraint_t, c.t)
             elif c.kind is ConstraintKind.EDGE:
                 self._edge.add((c.u, c.v, c.t))
-                self.guarded.add(c.v)
-                self.latest_constraint_t = max(self.latest_constraint_t, c.t)
-            elif c.kind is ConstraintKind.RANGE:
-                self._range_ub[c.v] = max(self._range_ub.get(c.v, -1), c.t)
                 self.guarded.add(c.v)
                 self.latest_constraint_t = max(self.latest_constraint_t, c.t)
             elif c.kind is ConstraintKind.LENGTH_GT:
@@ -180,9 +164,6 @@ class ConstraintTable:
     def is_blocked(self, v: Cell, t: int) -> bool:
         if (v, t) in self._vertex:
             return True
-        ub = self._range_ub.get(v)
-        if ub is not None and t <= ub:
-            return True
         frm = self.blocked_from.get(v)
         return frm is not None and t >= frm
 
@@ -194,9 +175,6 @@ class ConstraintTable:
         if v in self.blocked_from:
             return INF
         last = -1
-        ub = self._range_ub.get(v)
-        if ub is not None:
-            last = ub
         for (cell, t) in self._vertex:
             if cell == v and t > last:
                 last = t
@@ -213,11 +191,10 @@ class ConstraintTable:
 
 
 def estimate_delays(constraints: list[Constraint], agent: int,
-                    parent_path: Path | None, parent_cost: int) -> int:
+                    parent_cost: int) -> int:
     """Total rule-based delay estimate over the agent's constraints.
 
     Vertex/edge constraints are assumed satisfiable with one wait (delay 1).
-    A range constraint on the exit vertex delays until the block lifts.
     Blocks induced on other agents by a LENGTH_LEQ are free; a LENGTH_GT on the
     replanned agent forces a later arrival. Each delay is clamped at 0.
     """
@@ -227,14 +204,6 @@ def estimate_delays(constraints: list[Constraint], agent: int,
             continue
         if c.kind in (ConstraintKind.VERTEX, ConstraintKind.EDGE):
             d = 1
-        elif c.kind is ConstraintKind.RANGE:
-            t_e = None
-            if parent_path is not None:
-                for t, cell in enumerate(parent_path.cells):
-                    if cell == c.v:
-                        t_e = t
-                        break
-            d = max(0, c.t + 1 - t_e) if t_e is not None else 0
         elif c.kind is ConstraintKind.LENGTH_GT and c.agent == agent:
             d = max(0, c.t - parent_cost)
         else:  # LENGTH_LEQ (own or induced block): assumed free

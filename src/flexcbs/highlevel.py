@@ -353,8 +353,7 @@ class Solver:
             if ctable.infeasible:
                 return None
             self._sync(paths, skip=r)
-            delay_sum = estimate_delays(rel, r, parent.paths[r],
-                                        parent.paths[r].cost)
+            delay_sum = estimate_delays(rel, r, parent.paths[r].cost)
             fc = self._compute_flex(lbs, paths, r, parent, delay_sum, frontier)
             delta = fc.delta if fc is not None else 0.0
             result = self._plan(r, ctable, self.occ, delta=delta,
@@ -390,7 +389,7 @@ class Solver:
 
     def _try_bypass(self, node: CTNode, conflict: Conflict,
                     children: list[CTNode]) -> CTNode | None:
-        if conflict.cls in (ConflictClass.TARGET, ConflictClass.CORRIDOR):
+        if conflict.cls is ConflictClass.TARGET:
             return None
         for child in children:
             if child is None or child.x_total >= node.x_total:

@@ -534,18 +534,16 @@ def _any_arrival(_v: Cell, _t: int) -> bool:
 
 def earliest_arrival(grid: GridMap, ctable: ConstraintTable, start: Cell,
                      dest: Cell, horizon: int,
-                     banned: frozenset[Cell] = frozenset(),
                      arrive_ok: Callable[[Cell, int], bool] = _any_arrival,
                      h: DistanceTable | None = None) -> int | None:
     """Earliest timestep t <= horizon at which the agent can occupy dest with
     arrive_ok(dest, t) true, or None.
 
-    Time-expanded BFS under the constraint table; used for corridor timing
-    bounds and, with the goal-parking test as arrive_ok, for cardinality
-    probes. `banned` cells are excluded entirely. `h` is the static distance
-    to dest, `compute_h(grid, dest)` (built when None), possibly around some
-    of the banned cells: a state with t + h > horizon cannot arrive in time,
-    so it is never generated.
+    Time-expanded BFS under the constraint table; its one use is the
+    cardinality probe, with the goal-parking test as arrive_ok. `h` is the
+    static distance to dest, `compute_h(grid, dest)` (built when None): a
+    state with t + h > horizon cannot arrive in time, so it is never
+    generated.
     """
     if h is None:
         h = compute_h(grid, dest)
@@ -553,14 +551,12 @@ def earliest_arrival(grid: GridMap, ctable: ConstraintTable, start: Cell,
     id_of = grid.id_of
     src = id_of(start)
     h_src = settle(src)
-    if (h_src > horizon or start in banned
-            or ctable.is_blocked(start, 0)):
+    if h_src > horizon or ctable.is_blocked(start, 0):
         return None
     if start == dest and arrive_ok(dest, 0):
         return 0
     moves, cell_of = grid.moves, grid.cell_of
     dst = id_of(dest)
-    banned_ids = {id_of(c) for c in banned}
     guarded = _guarded_ids(grid, ctable)
     frontier = {src}
     for t in range(1, horizon + 1):
@@ -568,7 +564,7 @@ def earliest_arrival(grid: GridMap, ctable: ConstraintTable, start: Cell,
         slack = horizon - t
         for v in frontier:
             for v2 in moves[v]:
-                if v2 in banned_ids or v2 in nxt:
+                if v2 in nxt:
                     continue
                 hv = dist[v2]
                 if hv is None:

@@ -170,19 +170,16 @@ def occupancy_state(occ) -> tuple:
 
 def brute_constrained_opt(grid: GridMap, constraints, agent: int, start: Cell,
                           goal: Cell, targets: dict[int, Cell],
-                          horizon: int, banned=frozenset(),
-                          park: bool = True) -> int | None:
+                          horizon: int, park: bool = True) -> int | None:
     """Minimum feasible arrival time under the constraint semantics, found by
     direct timestep-by-timestep reachability, independent of the search code.
 
-    `banned` cells are never entered. With park=False an arrival only has to
-    occupy the goal; otherwise the agent must also be allowed to finish there
-    and stay forever. Returns None when no arrival at or before the horizon
-    is feasible.
+    With park=False an arrival only has to occupy the goal; otherwise the
+    agent must also be allowed to finish there and stay forever. Returns None
+    when no arrival at or before the horizon is feasible.
     """
     vertex: set[tuple[Cell, int]] = set()
     edges: set[tuple[Cell, Cell, int]] = set()
-    range_ub: dict[Cell, int] = {}
     blocked_from: dict[Cell, int] = {}
     earliest, latest = 0, horizon
     for c in constraints:
@@ -190,8 +187,6 @@ def brute_constrained_opt(grid: GridMap, constraints, agent: int, start: Cell,
             vertex.add((c.v, c.t))
         elif c.kind is ConstraintKind.EDGE and c.agent == agent:
             edges.add((c.u, c.v, c.t))
-        elif c.kind is ConstraintKind.RANGE and c.agent == agent:
-            range_ub[c.v] = max(range_ub.get(c.v, -1), c.t)
         elif c.kind is ConstraintKind.LENGTH_GT and c.agent == agent:
             earliest = max(earliest, c.t + 1)
         elif c.kind is ConstraintKind.LENGTH_LEQ:
@@ -208,15 +203,13 @@ def brute_constrained_opt(grid: GridMap, constraints, agent: int, start: Cell,
     def blocked(v: Cell, t: int) -> bool:
         if (v, t) in vertex:
             return True
-        if t <= range_ub.get(v, -1):
-            return True
         return t >= blocked_from.get(v, never)
 
-    if start in banned or blocked(start, 0):
+    if blocked(start, 0):
         return None
     if park and goal in blocked_from:
         return None
-    last_goal_block = range_ub.get(goal, -1)
+    last_goal_block = -1
     for (v, t) in vertex:
         if v == goal:
             last_goal_block = max(last_goal_block, t)
@@ -231,7 +224,7 @@ def brute_constrained_opt(grid: GridMap, constraints, agent: int, start: Cell,
         nxt = set()
         for v in reach:
             for v2 in [v] + grid.neighbors(v):
-                if v2 in banned or blocked(v2, t) or (v, v2, t) in edges:
+                if blocked(v2, t) or (v, v2, t) in edges:
                     continue
                 nxt.add(v2)
         if goal in nxt and arrival_ok(t):

@@ -5,13 +5,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flexcbs.conflicts import (Classifier, Conflict, ConflictClass,
-                               detect_conflicts, detour_exists, find_corridor,
-                               pick_conflict, split_conflict,
-                               split_constraint_for)
+                               detect_conflicts, find_corridor, pick_conflict,
+                               split_conflict, split_constraint_for)
 from flexcbs.constraints import (ConstraintKind, ConstraintTable, Path,
-                                 edge_constraint, length_leq, range_constraint,
-                                 vertex_constraint)
-from flexcbs.lowlevel import Occupancy, compute_h, earliest_arrival
+                                 length_leq, vertex_constraint)
+from flexcbs.lowlevel import Occupancy, earliest_arrival
 from flexcbs.map_io import GridMap
 from helpers import (brute_constrained_opt, brute_pair_conflicts,
                      grid_from_rows, open_grid, random_grid, random_walk_path)
@@ -146,17 +144,6 @@ class TestFindCorridor:
         assert find_corridor(grid, (0, 0)) is None
 
 
-DUMBBELL = [".@@@.",
-            ".....",
-            ".@@@."]
-
-
-def dumbbell_paths():
-    p0 = Path(0, ((0, 0), (1, 0), (1, 1), (1, 2), (1, 3), (1, 4), (0, 4)))
-    p1 = Path(1, ((2, 4), (1, 4), (1, 3), (1, 2), (1, 1), (1, 0), (2, 0)))
-    return p0, p1
-
-
 class TestClassifier:
     def make(self, grid):
         return Classifier(grid, symmetry=True, prioritize=True)
@@ -170,37 +157,6 @@ class TestClassifier:
                                      [[], []], {0: (0, 2), 1: (0, 1)})
         assert c.cls is ConflictClass.TARGET
         assert c.target_agent == 0
-
-    def test_corridor_conflict(self):
-        grid = grid_from_rows(DUMBBELL)
-        p0, p1 = dumbbell_paths()
-        conflicts, _, _ = detect_conflicts(grid, [p0, p1])
-        c = self.make(grid).classify(pick_conflict(conflicts), [p0, p1],
-                                     [[], []], {0: (0, 4), 1: (2, 0)})
-        assert c.cls is ConflictClass.CORRIDOR
-        assert c.exit_i == (1, 4)
-        assert c.exit_j == (1, 0)
-        assert c.t_min_i == 5
-        assert c.t_min_j == 5
-
-    def test_corridor_skipped_when_detour_exists(self):
-        # same conflict pattern, but an open top row offers a detour
-        grid = grid_from_rows([".....", ".....", ".@@@."])
-        p0, p1 = dumbbell_paths()
-        conflicts, _, _ = detect_conflicts(grid, [p0, p1])
-        c = self.make(grid).classify(pick_conflict(conflicts), [p0, p1],
-                                     [[], []], {0: (0, 4), 1: (2, 0)})
-        assert c.cls is not ConflictClass.CORRIDOR
-
-    def test_corridor_requires_mandatory_passage(self):
-        # degree-2 chain along the top row, but row 2 offers a way around
-        grid = grid_from_rows([".....", ".@@@.", "....."])
-        p0 = Path(0, tuple((0, c) for c in range(5)))
-        p1 = Path(1, tuple((0, 4 - c) for c in range(5)))
-        conflicts, _, _ = detect_conflicts(grid, [p0, p1])
-        c = self.make(grid).classify(pick_conflict(conflicts), [p0, p1],
-                                     [[], []], {0: (0, 4), 1: (0, 0)})
-        assert c.cls is not ConflictClass.CORRIDOR
 
     def test_cardinal_conflict(self):
         grid = grid_from_rows(["@.@", "...", "@.@"])
@@ -262,47 +218,6 @@ class TestClassifier:
                                   constraints, targets)
 
 
-@st.composite
-def corridor_probes(draw):
-    """A small map with a degree-2 chain, an exit of it, a start and
-    constraints on agent 0 (agent 1's LENGTH_LEQ blocks its target)."""
-    height, width = draw(st.integers(1, 5)), draw(st.integers(2, 6))
-    passable = draw(st.lists(st.integers(0, 2).map(bool),
-                             min_size=height * width, max_size=height * width))
-    grid = GridMap(height, width, tuple(passable))
-    chains = [v for v in grid.passable_cells() if grid.degree(v) == 2]
-    assume(chains)
-    corridor = find_corridor(grid, draw(st.sampled_from(chains)))
-    cells = grid.passable_cells()
-    cell = st.sampled_from(cells)
-    step = st.integers(0, 8)
-    edge = cell.flatmap(lambda v: st.builds(
-        edge_constraint, st.just(0), st.sampled_from([v, *grid.neighbors(v)]),
-        st.just(v), st.integers(1, 8)))
-    constraint = st.one_of(
-        st.builds(vertex_constraint, st.just(0), cell, step), edge,
-        st.builds(range_constraint, st.just(0), cell, st.integers(0, 4)),
-        st.builds(length_leq, st.just(1), st.integers(0, 8)))
-    cs = draw(st.lists(constraint, max_size=6))
-    ctable = ConstraintTable(0, cs, targets={1: draw(cell)})
-    return (grid, corridor, draw(st.sampled_from(corridor.endpoints)),
-            draw(cell), ctable)
-
-
-class TestDetourProbe:
-    @settings(max_examples=300, deadline=None)
-    @given(probe=corridor_probes(), data=st.data())
-    def test_matches_the_sweep(self, probe, data):
-        grid, corridor, exit_, start, ctable = probe
-        banned = frozenset(corridor.interior)
-        horizon = data.draw(st.integers(0, 2 * grid.num_passable()))
-        around = compute_h(grid, exit_, banned=banned)
-        sweep = earliest_arrival(grid, ctable, start, exit_, horizon,
-                                 banned=banned)
-        assert detour_exists(grid, ctable, start, exit_, horizon, banned,
-                             around) == (sweep is not None)
-
-
 class TestSplitConflict:
     def test_vertex_split_symmetric(self):
         c = Conflict(1, 2, (2, 2), 4)
@@ -323,14 +238,6 @@ class TestSplitConflict:
         assert a1 == a2 == 1
         assert c1.kind is ConstraintKind.LENGTH_GT and c1.t == 10
         assert c2.kind is ConstraintKind.LENGTH_LEQ and c2.t == 10
-
-    def test_corridor_split_is_range_pair(self):
-        c = Conflict(0, 1, (1, 2), 3, cls=ConflictClass.CORRIDOR,
-                     exit_i=(1, 4), exit_j=(1, 0), t_min_i=5, t_min_j=8)
-        (a1, c1), (a2, c2) = split_conflict(c)
-        assert c1.kind is ConstraintKind.RANGE
-        assert (a1, c1.v, c1.t) == (0, (1, 4), 8)
-        assert (a2, c2.v, c2.t) == (1, (1, 0), 5)
 
     def test_parent_paths_violate_their_constraint(self):
         grid = open_grid(1, 3)

@@ -4,8 +4,7 @@ import pytest
 
 from flexcbs.constraints import (Constraint, ConstraintKind, ConstraintTable,
                                  Path, edge_constraint, estimate_delays,
-                                 length_gt, length_leq, range_constraint,
-                                 vertex_constraint)
+                                 length_gt, length_leq, vertex_constraint)
 
 
 class TestPath:
@@ -24,7 +23,6 @@ class TestConstraintFactories:
     def test_kinds(self):
         assert vertex_constraint(0, (1, 1), 3).kind is ConstraintKind.VERTEX
         assert edge_constraint(0, (0, 0), (0, 1), 1).kind is ConstraintKind.EDGE
-        assert range_constraint(0, (2, 2), 6).kind is ConstraintKind.RANGE
         assert length_leq(1, 4).kind is ConstraintKind.LENGTH_LEQ
         assert length_gt(1, 4).kind is ConstraintKind.LENGTH_GT
 
@@ -49,12 +47,6 @@ class TestConstraintTable:
         assert table.is_edge_blocked((0, 0), (0, 1), 2)
         assert not table.is_edge_blocked((0, 1), (0, 0), 2)
         assert not table.is_edge_blocked((0, 0), (0, 1), 1)
-
-    def test_range_blocks_prefix(self):
-        table = ConstraintTable(0, [range_constraint(0, (2, 2), 6)])
-        for t in range(7):
-            assert table.is_blocked((2, 2), t)
-        assert not table.is_blocked((2, 2), 7)
 
     def test_length_bounds(self):
         table = ConstraintTable(0, [length_gt(0, 5)])
@@ -98,40 +90,25 @@ class TestEstimateDelays:
     def test_vertex_and_edge_delays_are_one_each(self):
         cs = [vertex_constraint(0, (0, 0), 1), vertex_constraint(0, (1, 0), 2),
               edge_constraint(0, (0, 0), (0, 1), 1)]
-        assert [estimate_delays([c], 0, None, 0) for c in cs] == [1, 1, 1]
-        assert estimate_delays(cs, 0, None, 0) == 3
-
-    def test_range_delay_until_block_lifts(self):
-        parent = Path(0, ((0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (0, 5)))
-        cs = [range_constraint(0, (0, 5), 8)]
-        total = estimate_delays(cs, 0, parent, parent.cost)
-        assert total == 4  # blocked through t=8, first reached at t=5
-
-    def test_range_delay_zero_when_cell_not_on_parent_path(self):
-        parent = Path(0, ((0, 0), (0, 1)))
-        total = estimate_delays([range_constraint(0, (3, 3), 8)], 0,
-                                parent, parent.cost)
-        assert total == 0
+        assert [estimate_delays([c], 0, 0) for c in cs] == [1, 1, 1]
+        assert estimate_delays(cs, 0, 0) == 3
 
     def test_length_gt_delay(self):
-        total = estimate_delays([length_gt(0, 10)], 0, None, 7)
+        total = estimate_delays([length_gt(0, 10)], 0, 7)
         assert total == 3
 
     def test_length_gt_already_satisfied(self):
-        total = estimate_delays([length_gt(0, 5)], 0, None, 7)
+        total = estimate_delays([length_gt(0, 5)], 0, 7)
         assert total == 0
 
     def test_length_leq_is_free(self):
-        total = estimate_delays([length_leq(0, 4), length_leq(1, 4)], 0,
-                                None, 3)
+        total = estimate_delays([length_leq(0, 4), length_leq(1, 4)], 0, 3)
         assert total == 0
 
     def test_other_agents_motion_constraints_skipped(self):
-        total = estimate_delays([vertex_constraint(1, (0, 0), 1)], 0,
-                                None, 0)
+        total = estimate_delays([vertex_constraint(1, (0, 0), 1)], 0, 0)
         assert total == 0
 
     def test_delays_never_negative(self):
-        cs = [length_gt(0, 1), range_constraint(0, (9, 9), 3)]
-        # unclamped, the LENGTH_GT term alone would contribute 1 - 5 = -4
-        assert estimate_delays(cs, 0, Path(0, ((0, 0),)), 5) == 0
+        # unclamped, the LENGTH_GT term would contribute 1 - 5 = -4
+        assert estimate_delays([length_gt(0, 1)], 0, 5) == 0

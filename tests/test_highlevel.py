@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from flexcbs.conflicts import Classifier, detect_conflicts, split_conflict
-from flexcbs.constraints import ConflictClass, ConstraintKind
+from flexcbs.conflicts import Classifier, detect_conflicts
+from flexcbs.constraints import ConflictClass
 from flexcbs.flex import FlexMode
 from flexcbs.highlevel import Solver, SolverConfig, solve
 from flexcbs.lowlevel import Occupancy
@@ -116,28 +116,29 @@ class TestCorridorConflict:
             assert res.metrics.soc == opt.soc
             assert validate(res.paths, inst) == []
 
-    def test_symmetry_split_constraints_bind_both_paths(self, monkeypatch):
-        """Each corridor split bars both parent paths, so neither child
-        inherits its parent's path unchanged."""
-        seen = []
+    def test_symmetry_adds_no_nodes_in_a_corridor(self, monkeypatch):
+        """A head-on meeting in a one-cell passage is no TARGET conflict, so
+        symmetry reasoning leaves the search unchanged: the same SOC with
+        the same CT node counts as without it."""
+        classes = []
         classify = Classifier.classify
 
         def spy(self, conflict, paths, constraints, targets):
             result = classify(self, conflict, paths, constraints, targets)
-            if result.cls is ConflictClass.CORRIDOR:
-                seen.append((result, list(paths)))
+            classes.append(result.cls)
             return result
 
         monkeypatch.setattr(Classifier, "classify", spy)
         inst = corridor_instance()
-        res = solve(inst, SolverConfig(w=1.0, symmetry=True))
-        assert res.outcome == "solved"
-        assert validate(res.paths, inst) == []
-        assert seen
-        for conflict, paths in seen:
-            for agent, c in split_conflict(conflict):
-                assert c.kind is ConstraintKind.RANGE
-                assert any(paths[agent].at(t) == c.v for t in range(c.t + 1))
+        opt = optimal_soc(inst)
+        runs = {}
+        for symmetry in (True, False):
+            res = solve(inst, SolverConfig(w=1.0, symmetry=symmetry))
+            assert res.outcome == "solved"
+            assert res.metrics.soc == opt.soc
+            runs[symmetry] = (res.metrics.generated, res.metrics.expanded)
+        assert runs[True] == runs[False]
+        assert classes and ConflictClass.CORRIDOR not in classes
 
 
 class TestBypass:

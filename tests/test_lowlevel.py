@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from flexcbs import lowlevel
 from flexcbs.constraints import (ConstraintTable, Path, edge_constraint,
-                                 length_gt, length_leq, range_constraint,
-                                 vertex_constraint)
+                                 length_gt, length_leq, vertex_constraint)
 from flexcbs.highlevel import Solver, SolverConfig
 from flexcbs.lowlevel import (INF, Distances, LowLevelRequest, Occupancy,
                               compute_h, earliest_arrival, fastar_search,
@@ -392,9 +391,10 @@ def _random_constraints(rng, grid, goal):
             if nbs:
                 cs.append(edge_constraint(0, rng.choice(nbs), v,
                                           rng.randint(1, 7)))
-        elif roll < 0.8:
+        elif roll < 0.8:  # v blocked over a prefix of timesteps
             if v != goal or rng.random() < 0.25:
-                cs.append(range_constraint(0, v, rng.randint(0, 4)))
+                cs.extend(vertex_constraint(0, v, t)
+                          for t in range(rng.randint(0, 4) + 1))
         elif roll < 0.9:
             cs.append(length_gt(0, rng.randint(0, 5)))
         else:
@@ -412,21 +412,10 @@ class TestEarliestArrival:
         t = earliest_arrival(grid, ConstraintTable(0, []), (0, 0), (0, 4), 20)
         assert t == 4
 
-    def test_banned_cells_force_none(self):
-        grid = open_grid(1, 5)
-        t = earliest_arrival(grid, ConstraintTable(0, []), (0, 0), (0, 4), 20,
-                             banned=frozenset({(0, 2)}))
-        assert t is None
-
-    def test_banned_cells_force_detour(self):
-        grid = open_grid(2, 5)
-        t = earliest_arrival(grid, ConstraintTable(0, []), (0, 0), (0, 4), 20,
-                             banned=frozenset({(0, 2)}))
-        assert t == 6
-
     def test_constraints_delay_arrival(self):
         grid = open_grid(1, 5)
-        table = ConstraintTable(0, [range_constraint(0, (0, 1), 3)])
+        table = ConstraintTable(0, [vertex_constraint(0, (0, 1), t)
+                                    for t in range(4)])
         t = earliest_arrival(grid, table, (0, 0), (0, 4), 20)
         assert t == 7
 
@@ -521,7 +510,6 @@ def constrained_problems(draw):
     constraint = st.one_of(
         st.builds(vertex_constraint, st.sampled_from([0, 2]), cell, step),
         edge,
-        st.builds(range_constraint, st.just(0), cell, st.integers(0, 4)),
         st.builds(length_gt, st.just(0), st.integers(0, 6)),
         st.builds(length_leq, st.just(0), st.integers(0, 12)),
         st.builds(length_leq, st.just(1), st.integers(0, 8)))
@@ -564,17 +552,14 @@ class TestPrunedSweepsMatchBrute:
 
     @settings(max_examples=150, deadline=None)
     @given(problem=constrained_problems(), horizon=st.integers(0, 14),
-           goal_test=st.booleans(), data=st.data())
-    def test_earliest_arrival(self, problem, horizon, goal_test, data):
+           goal_test=st.booleans())
+    def test_earliest_arrival(self, problem, horizon, goal_test):
         grid, cells, start, goal, cs, targets = problem
-        banned = frozenset(data.draw(st.lists(st.sampled_from(cells),
-                                              max_size=3)))
         table = ConstraintTable(0, cs, targets=targets)
         kwargs = {"arrive_ok": table.goal_arrival_ok} if goal_test else {}
-        got = earliest_arrival(grid, table, start, goal, horizon,
-                               banned=banned, **kwargs)
+        got = earliest_arrival(grid, table, start, goal, horizon, **kwargs)
         brute = brute_constrained_opt(grid, cs, 0, start, goal, targets,
-                                      horizon, banned=banned, park=goal_test)
+                                      horizon, park=goal_test)
         assert got == brute
 
     @settings(max_examples=150, deadline=None)
@@ -636,21 +621,19 @@ class TestLazyTables:
 
     @settings(max_examples=150, deadline=None)
     @given(problem=constrained_problems(), horizon=st.integers(0, 14),
-           goal_test=st.booleans(), data=st.data())
-    def test_earliest_arrival(self, problem, horizon, goal_test, data):
+           goal_test=st.booleans())
+    def test_earliest_arrival(self, problem, horizon, goal_test):
         grid, cells, start, goal, cs, targets = problem
-        banned = frozenset(data.draw(st.lists(st.sampled_from(cells),
-                                              max_size=3)))
         table = ConstraintTable(0, cs, targets=targets)
         kwargs = {"arrive_ok": table.goal_arrival_ok} if goal_test else {}
         lazy, full = self.tables(grid, start, goal)
         assert earliest_arrival(grid, table, start, goal, horizon,
-                                banned=banned, h=lazy, **kwargs) == \
+                                h=lazy, **kwargs) == \
             earliest_arrival(grid, table, start, goal, horizon,
-                             banned=banned, h=full, **kwargs)
+                             h=full, **kwargs)
 
-    # each seed's solve builds tables around other agents' targets; seed 10
-    # also probes a corridor, around its interior
+    # each seed's solve builds tables around other agents' targets, so every
+    # banned key is a walls table
     @pytest.mark.parametrize("seed", [0, 1, 2, 10])
     def test_solver_tables_stay_exact(self, seed):
         rng = random.Random(seed)
