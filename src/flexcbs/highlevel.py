@@ -16,9 +16,11 @@ from dataclasses import dataclass, field
 
 from . import flex as flexmod
 from .conflicts import (Classifier, Conflict, ConflictClass, conflict_counts,
-                        detect_conflicts, pick_conflict, split_conflict)
-from .constraints import (Constraint, ConstraintKind, ConstraintTable, Path,
-                          estimate_delays)
+                        pick_conflict, split_conflict)
+# No solve calls it; kept because the benchmark's tracer wraps this name.
+from .conflicts import detect_conflicts  # noqa: F401
+from .constraints import (BY_PAIR, Constraint, ConstraintKind, ConstraintTable,
+                          Path, estimate_delays)
 from .flex import FlexMode
 from .lowlevel import (Distances, LowLevelRequest, Occupancy, compute_h,
                        fastar_search, focal_search)
@@ -64,14 +66,13 @@ class CTNode:
     seq: int
     parent: "CTNode | None" = None
     fhat: float = 0.0
+    # set once from paths and lbs, which no one changes after construction
+    soc: int = field(init=False)
+    solb: float = field(init=False)
 
-    @property
-    def soc(self) -> int:
-        return sum(p.cost for p in self.paths)
-
-    @property
-    def solb(self) -> float:
-        return sum(self.lbs)
+    def __post_init__(self):
+        self.soc = sum(p.cost for p in self.paths)
+        self.solb = sum(self.lbs)
 
 
 @dataclass
@@ -267,19 +268,23 @@ class Solver:
         constraints: list[tuple[Constraint, ...]] = [()] * self.k
         paths: list[Path] = []
         lbs: list[float] = []
+        conflicts: list[Conflict] = []
         occ = self.occ = Occupancy(self.grid)  # the paths planned so far
         for agent in range(self.k):
             ctable = ConstraintTable(agent, [], targets=self.targets)
             result = self._plan(agent, ctable, occ, delta=0.0, lb_parent=0.0)
             if result is None:
                 return None
+            # each pair's conflicts are found once, by its later agent
+            conflicts.extend(occ.conflicts_with(result.path))
             occ.add(result.path)
             paths.append(result.path)
             lbs.append(result.lb)
-        conflicts, counts, total = detect_conflicts(self.grid, paths)
+        conflicts.sort(key=BY_PAIR)
         root = CTNode(constraints=constraints, paths=paths, lbs=lbs,
-                      conflicts=conflicts, x_counts=counts, x_total=total,
-                      depth=0, seq=self._next_seq())
+                      conflicts=conflicts,
+                      x_counts=conflict_counts(conflicts, self.k),
+                      x_total=len(conflicts), depth=0, seq=self._next_seq())
         self._set_fhat(root)
         if self.config.keep_tree:
             self.tree_nodes.append(root)

@@ -5,9 +5,11 @@ f = max(t + h(v), hold), where hold is the goal's holding time
 (`ConstraintTable.hold_time`): no valid path parks at its goal earlier, so
 f stays admissible and consistent. A state is a goal when v is the goal and
 t >= hold. Focal search expands nodes with f <= tau ordered by conflict count
-and returns the first goal path; FA* then keeps expanding by f-order from
-OPEN to tighten the returned lower bound up to the optimal constrained path
-cost, and stops once f reaches the cost of the path it holds.
+(each step's conflicts with the other agents' paths, read from an
+`Occupancy`) and returns the first goal path; FA* then keeps expanding by
+f-order from OPEN to tighten the returned lower bound up to the optimal
+constrained path cost, and stops once f reaches the cost of the path it
+holds.
 
 h is the exact static distance to the goal. Every static table comes from
 one per-grid cache, `Distances`: a `DistanceTable` per (target, banned
@@ -19,7 +21,6 @@ cells blocked forever says which cells still reach the goal.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
@@ -30,6 +31,7 @@ from .map_io import Cell, GridMap
 
 INF = math.inf
 EPS = 1e-9
+CLOSED = -1  # the conflict count `_search` files an expanded state under
 
 
 class DistanceTable:
@@ -139,8 +141,10 @@ class Distances:
 
 
 class Occupancy:
-    """Paths indexed by space-time key: counts the conflicts of one step for
-    the low level and lists the conflicts of a whole path for the high level.
+    """Paths indexed by space-time key. The search kernel reads the
+    `vertex`, `edge` and `parked` tables directly to count each step's
+    conflicts; `conflicts_with` lists the conflicts of a whole path for the
+    high level.
 
     With N = len(grid.moves) cell ids, cell id v at timestep t has the
     space-time key t * N + v, the number the search kernel uses for its
@@ -150,7 +154,9 @@ class Occupancy:
       (a wait is no edge); a step u -> v with key s = t * N + v finds the
       agents swapping with it, moving v -> u, under s * N + u;
     - `ends`: cell id -> the indexed paths ending there;
-    - `parked`: cell id -> the earliest timestep one of them parks from.
+    - `parked`: cell id -> the earliest timestep one of them parks from;
+    - `costs`: path cost -> how many indexed paths have it, so the longest
+      is max(costs).
 
     `add` and `remove` are exact inverses, so one index can follow a set of
     paths that changes a path at a time. Several indexed paths may carry one
@@ -165,6 +171,7 @@ class Occupancy:
         self.edge: dict[int, list[int]] = {}
         self.ends: dict[int, list[Path]] = {}
         self.parked: dict[int, int] = {}
+        self.costs: dict[int, int] = {}  # path cost -> indexed paths of it
         self.held: dict[int, Path] = {}  # agent -> its indexed path
         for p in paths:
             self.add(p)
@@ -186,13 +193,26 @@ class Occupancy:
         vertex_keys, edge_keys = self._keys(ids)
         vertex, edge = self.vertex, self.edge
         for s in vertex_keys:
-            vertex.setdefault(s, []).append(agent)
+            agents = vertex.get(s)
+            if agents is None:
+                vertex[s] = [agent]
+            else:
+                agents.append(agent)
         for e in edge_keys:
-            edge.setdefault(e, []).append(agent)
+            agents = edge.get(e)
+            if agents is None:
+                edge[e] = [agent]
+            else:
+                agents.append(agent)
         goal, cost = ids[-1], path.cost
-        self.ends.setdefault(goal, []).append(path)
-        park = self.parked.get(goal)
-        self.parked[goal] = min(park, cost) if park is not None else cost
+        ends = self.ends.get(goal)
+        if ends is None:
+            self.ends[goal] = [path]
+            self.parked[goal] = cost
+        else:
+            ends.append(path)
+            self.parked[goal] = min(self.parked[goal], cost)
+        self.costs[cost] = self.costs.get(cost, 0) + 1
         self.held[agent] = path
 
     def remove(self, path: Path):
@@ -211,20 +231,13 @@ class Occupancy:
             self.parked[goal] = min(p.cost for p in ends)
         else:
             del self.ends[goal], self.parked[goal]
+        cost = path.cost
+        if self.costs[cost] == 1:
+            del self.costs[cost]
+        else:
+            self.costs[cost] -= 1
         if self.held.get(agent) is path:
             del self.held[agent]
-
-    def step_conflicts(self, u: int, v: int, t: int, s: int) -> int:
-        """Conflicts incurred by moving from cell id u to cell id v arriving
-        at timestep t; s is the space-time key t * N + v."""
-        n = len(self.vertex.get(s, ()))
-        park = self.parked.get(v)
-        if park is not None and t > park:
-            # t == park is already in the vertex table
-            n += 1
-        if u != v:
-            n += len(self.edge.get(s * self.n + u, ()))
-        return n
 
     def conflicts_with(self, path: Path) -> list[Conflict]:
         """The conflicts between `path` and every indexed path of another
@@ -261,8 +274,7 @@ class Occupancy:
             prev, u = cell, v
         # after its last step the agent stays at its goal, where only paths
         # still moving can meet it
-        horizon = max((p.cost for paths in ends.values() for p in paths),
-                      default=0)
+        horizon = max(self.costs, default=0)
         for t in range(len(cells), horizon + 1):
             for b in vertex.get(t * n + u, ()):
                 if b != a:
@@ -308,6 +320,7 @@ class LowLevelResult:
     lb: float
     tau: float
     expansions: int = 0
+    conflicts: int = 0  # the path's conflicts with the indexed paths
 
 
 def _reconstruct(parent: dict, cell_of: tuple[Cell, ...], agent: int,
@@ -340,10 +353,18 @@ def _search(req: LowLevelRequest, two_phase: bool) -> LowLevelResult | None:
 
     A state is the single int s = t * N + v for cell id v at timestep t, with
     N = len(grid.moves): the key `Occupancy` files cell v at t under, so
-    the conflict count of a step probes with the successor's own key. The
-    cell id is s % N; heap entries carry -t as their tie-break, so a popped
-    entry yields v = s - t * N without a division. Cells go back to tuples
-    only for the cell-keyed constraint probes of guarded cells and for the
+    the conflict count of a step probes the index's tables with the
+    successor's own key, inline. The cell id is s % N; heap entries carry -t
+    as their tie-break, so a popped entry yields v = s - t * N without a
+    division. Cells go back to tuples only for the cell-keyed constraint
+    probes of guarded cells and for the returned path.
+
+    One dict maps each generated state to its smallest conflict count, or
+    to CLOSED once expanded. In phase (i) a state is in FOCAL iff
+    f <= bound + EPS: f depends on the state alone and the bound never
+    shrinks, so a rising bound moves exactly the OPEN states with
+    old bound + EPS < f <= new bound + EPS into FOCAL, and no set tracks
+    FOCAL membership. The result's `conflicts` is the FOCAL count of the
     returned path.
     """
     ctable, grid, tables = req.ctable, req.grid, req.tables
@@ -382,33 +403,36 @@ def _search(req: LowLevelRequest, two_phase: bool) -> LowLevelResult | None:
         t_cut, adist = horizon + 1, None
     inf = INF
     is_blocked, is_edge_blocked = ctable.is_blocked, ctable.is_edge_blocked
-    step_conflicts = req.occupancy.step_conflicts
+    occ = req.occupancy
+    vertex_get, parked_get = occ.vertex.get, occ.parked.get
+    edge_get = occ.edge.get
     push, pop = heapq.heappush, heapq.heappop
 
-    # The search tree, shared by both phases, keyed by state.
-    best_x: dict[int, int] = {}    # smallest conflict count
+    # The search tree, shared by both phases, keyed by state: x_of holds the
+    # smallest conflict count found, or CLOSED once the state is expanded.
+    x_of: dict[int, int] = {}
     parent: dict[int, int | None] = {}  # the state one step earlier
-    closed: set[int] = set()
-    in_focal: set[int] = set()
     open_heap: list = []   # (f, -t, ctr, s)
     focal_heap: list = []  # (x, -t, f, ctr, s)
-    next_ctr = itertools.count().__next__
+    ctr = 0
 
     f0 = max(h_start, hold)
     # The focal bound tracks the rising f_min and never shrinks, so the final
     # path cost is within w * max{f_min at termination, parent lb} + delta.
+    # f depends on the state alone, so in phase (i) a state is in FOCAL iff
+    # f <= bound + EPS.
     bound = threshold(req.w, f0, req.lb_parent, req.delta)
-    best_x[start] = 0
+    x_of[start] = 0
     parent[start] = None
-    ctr = next_ctr()
     push(open_heap, (f0, 0, ctr, start))
     if f0 <= bound + EPS:
         push(focal_heap, (0, 0, f0, ctr, start))
-        in_focal.add(start)
     expansions = 0
 
-    def expand(s: int, v: int, t: int, x: int, into_focal: bool):
-        nonlocal expansions
+    def expand(s: int, v: int, t: int, x: int, focal_limit: float):
+        """Generate the successors of s; a successor whose f is at most
+        focal_limit also enters FOCAL (-INF for none)."""
+        nonlocal expansions, ctr
         expansions += 1
         t2 = t + 1
         if t2 > horizon:
@@ -424,44 +448,62 @@ def _search(req: LowLevelRequest, two_phase: bool) -> LowLevelResult | None:
             if t2 + hv > latest or (late and adist[v2] == inf):
                 continue
             s2 = base + v2
-            if s2 in closed:
+            # a successor costs at least x: a count of x or less, CLOSED
+            # included, is never improved
+            known = x_of.get(s2)
+            if known is not None and known <= x:
                 continue
             if v2 in guarded and (
                     is_blocked(cell_of[v2], t2)
                     or is_edge_blocked(cell_of[v], cell_of[v2], t2)):
                 continue
-            x2 = x + step_conflicts(v, v2, t2, s2)
-            known = best_x.get(s2)
+            # the step's conflicts: agents at v2 at t2, one parked at v2
+            # since before t2 (t2 == park is already a vertex entry), and
+            # agents swapping with it along v2 -> v
+            x2 = x
+            hits = vertex_get(s2)
+            if hits:
+                x2 += len(hits)
+            park = parked_get(v2)
+            if park is not None and t2 > park:
+                x2 += 1
+            if v2 != v:
+                hits = edge_get(s2 * n + v)
+                if hits:
+                    x2 += len(hits)
             if known is not None and known <= x2:
                 continue
-            best_x[s2] = x2
+            x_of[s2] = x2
             parent[s2] = s
             f2 = t2 + hv  # f = max(t + h, hold)
             if f2 < hold:
                 f2 = hold
-            ctr = next_ctr()
+            ctr += 1
             if known is None:
                 push(open_heap, (f2, -t2, ctr, s2))
-            if into_focal and (s2 in in_focal or f2 <= bound + EPS):
+            if f2 <= focal_limit:
                 push(focal_heap, (x2, -t2, f2, ctr, s2))
-                in_focal.add(s2)
 
     def open_min_f() -> float:
         while open_heap:
             top = open_heap[0]
-            if top[3] in closed:
+            if x_of[top[3]] == CLOSED:
                 pop(open_heap)
             else:
                 return top[0]
         return INF
 
-    def migrate(new_bound: float):
-        # pull newly qualifying OPEN nodes into FOCAL
+    def migrate(old_bound: float, new_bound: float):
+        # pull the OPEN states that qualify under the new bound only into
+        # FOCAL, in heap-array order
+        nonlocal ctr
+        lo, hi = old_bound + EPS, new_bound + EPS
         for f, negt, _c, s in open_heap:
-            if s in closed or s in in_focal or f > new_bound + EPS:
-                continue
-            push(focal_heap, (best_x[s], negt, f, next_ctr(), s))
-            in_focal.add(s)
+            if lo < f <= hi:
+                x = x_of[s]
+                if x != CLOSED:
+                    ctr += 1
+                    push(focal_heap, (x, negt, f, ctr, s))
 
     # Phase (i): focal-ordered expansion until a goal path is found.
     f_min_seen = None
@@ -473,11 +515,11 @@ def _search(req: LowLevelRequest, two_phase: bool) -> LowLevelResult | None:
             f_min_seen = f_min_now
             new_bound = threshold(req.w, f_min_now, req.lb_parent, req.delta)
             if new_bound > bound + EPS:
+                migrate(bound, new_bound)
                 bound = new_bound
-                migrate(bound)
         while focal_heap:
             x, negt, _f, _c, s = pop(focal_heap)
-            if s not in closed and best_x[s] == x:
+            if x_of[s] == x:  # neither closed nor improved since the push
                 break
         else:
             return None  # every open node lies above the bound
@@ -485,12 +527,13 @@ def _search(req: LowLevelRequest, two_phase: bool) -> LowLevelResult | None:
         v = s + negt * n
         if v == goal and t >= hold:
             break
-        closed.add(s)
-        expand(s, v, t, x, into_focal=True)
+        x_of[s] = CLOSED
+        expand(s, v, t, x, bound + EPS)
 
     path = _reconstruct(parent, cell_of, req.agent, s)
     cost = path.cost
-    closed.add(s)
+    conflicts = x
+    x_of[s] = CLOSED
     f_min = min(float(cost), open_min_f())
     lb = max(f_min, req.lb_parent)
     tau = threshold(req.w, f_min, req.lb_parent, req.delta)
@@ -501,7 +544,8 @@ def _search(req: LowLevelRequest, two_phase: bool) -> LowLevelResult | None:
         optimal = None
         while open_heap:
             f, negt, _c, s = pop(open_heap)
-            if s in closed:
+            x = x_of[s]
+            if x == CLOSED:
                 continue
             if f >= cost:
                 break
@@ -510,14 +554,14 @@ def _search(req: LowLevelRequest, two_phase: bool) -> LowLevelResult | None:
             if v == goal and t >= hold:
                 optimal = t
                 break
-            closed.add(s)
-            expand(s, v, t, best_x[s], into_focal=False)
+            x_of[s] = CLOSED
+            expand(s, v, t, x, -INF)
         if optimal is None:
             optimal = cost  # phase (i) path already optimal
         lb = max(min(float(optimal), float(cost)), req.lb_parent)
 
     return LowLevelResult(path=path, cost=cost, lb=lb, tau=tau,
-                          expansions=expansions)
+                          expansions=expansions, conflicts=conflicts)
 
 
 def focal_search(req: LowLevelRequest) -> LowLevelResult | None:

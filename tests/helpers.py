@@ -162,10 +162,12 @@ def pair_scan_conflict_lines(paths: list[Path]) -> list[str]:
 
 
 def occupancy_state(occ) -> tuple:
-    """An Occupancy's vertex, edge and parked tables, with the agents under
-    each key sorted, so indexes built in different orders compare equal."""
+    """An Occupancy's vertex, edge, parked and cost tables, with the agents
+    under each key sorted, so indexes built in different orders compare
+    equal."""
     return ({k: sorted(v) for k, v in occ.vertex.items()},
-            {k: sorted(v) for k, v in occ.edge.items()}, occ.parked)
+            {k: sorted(v) for k, v in occ.edge.items()}, occ.parked,
+            occ.costs)
 
 
 def brute_constrained_opt(grid: GridMap, constraints, agent: int, start: Cell,

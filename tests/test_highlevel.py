@@ -176,6 +176,33 @@ class TestTreeInvariants:
                     assert node.lbs[i] >= node.parent.lbs[i] - 1e-9
         assert pairs >= 1000
 
+    def test_soc_and_solb_sum_the_node(self, monkeypatch):
+        """Every node, the root, children and bypass-adopted ones alike,
+        carries the SOC and SOLB of its own paths and lower bounds."""
+        adopted = []
+        bypass = Solver._try_bypass
+
+        def spy(self, *args):
+            node = bypass(self, *args)
+            if node is not None:
+                adopted.append(node)
+            return node
+
+        monkeypatch.setattr(Solver, "_try_bypass", spy)
+        rng = random.Random(25)
+        generated = []  # the roots and children
+        for _ in range(6):
+            inst = random_instance(rng, 5, 5, 4)
+            solver = Solver(inst, SolverConfig(
+                w=1.05, flex_mode=FlexMode.MFD, keep_tree=True,
+                time_limit=10.0))
+            assert solver.solve().outcome == "solved"
+            generated += solver.tree_nodes
+        for node in generated + adopted:
+            assert node.soc == sum(p.cost for p in node.paths)
+            assert node.solb == sum(node.lbs)
+        assert len(generated) >= 500 and len(adopted) >= 10
+
     @pytest.mark.parametrize("mode", ALL_MODES)
     @pytest.mark.parametrize("low_level", LOW_LEVELS)
     def test_incremental_state_matches_rescan(self, mode, low_level):

@@ -1,20 +1,23 @@
+import hashlib
 import math
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flexcbs import lowlevel
-from flexcbs.constraints import (ConstraintTable, Path, edge_constraint,
-                                 length_gt, length_leq, vertex_constraint)
+from flexcbs.constraints import (BY_PAIR, ConstraintTable, Path,
+                                 edge_constraint, length_gt, length_leq,
+                                 vertex_constraint)
 from flexcbs.highlevel import Solver, SolverConfig
 from flexcbs.lowlevel import (INF, Distances, LowLevelRequest, Occupancy,
                               compute_h, earliest_arrival, fastar_search,
                               focal_search)
 from flexcbs.map_io import GridMap
-from helpers import (brute_constrained_opt, brute_distances, brute_steps,
+from helpers import (brute_constrained_opt, brute_distances,
                      grid_from_rows, occupancy_state, open_grid, random_grid,
                      random_instance, random_walk_path, small_grids)
 
@@ -103,12 +106,6 @@ class TestComputeH:
         assert h[grid.id_of((0, 0))] == 6
 
 
-def probe(occ, grid, u, v, t):
-    """occ.step_conflicts for the move u -> v arriving at t, given cells."""
-    iu, iv = grid.id_of(u), grid.id_of(v)
-    return occ.step_conflicts(iu, iv, t, t * len(grid.moves) + iv)
-
-
 def brute_step_conflicts(others, u, v, t):
     """Conflicts of the move u -> v arriving at t with paths that end at
     distinct cells, from their cells alone: a path at v at t, parked there
@@ -160,7 +157,7 @@ class TestOccupancy:
         cells = grid.passable_cells()
         current = {}
         occ = Occupancy(grid)
-        shared_ends = 0
+        shared_ends = lowered = 0
         for _ in range(200):
             a = rng.randrange(6)
             if a in current:
@@ -179,59 +176,91 @@ class TestOccupancy:
             current[a] = p
             ends = [q.cells[-1] for q in current.values()]
             shared_ends += len(ends) > len(set(ends))
-            batch = Occupancy(grid, current.values())
-            assert occupancy_state(occ) == occupancy_state(batch)
-            assert occ.held == current
+            self.check_against_batch(grid, occ, current)
+            if rng.random() < 0.2:
+                # the longest path goes: the horizon of conflicts_with drops
+                # to the next longest
+                longest = max(current.values(), key=lambda q: q.cost)
+                occ.remove(current.pop(longest.agent))
+                lowered += max(occ.costs, default=-1) < longest.cost
+                self.check_against_batch(grid, occ, current, longest)
         assert shared_ends > 20
+        assert lowered > 10
+
+    @staticmethod
+    def check_against_batch(grid, occ, current, *outside):
+        """occ holds what a batch-built index of current would, and lists
+        the same conflicts for every indexed path and for `outside` ones."""
+        batch = Occupancy(grid, current.values())
+        assert occupancy_state(occ) == occupancy_state(batch)
+        assert occ.held == current
+        for q in (*current.values(), *outside):
+            got = occ.conflicts_with(q)
+            assert Counter(got) == Counter(batch.conflicts_with(q))
+            assert got == sorted(got, key=BY_PAIR)
+
+    # The searches count a path's conflicts with the indexed paths step by
+    # step; LowLevelResult.conflicts is the count of the returned path.
 
     def test_vertex_conflict_counted(self):
         grid = open_grid(2, 3)
-        other = Path(1, ((0, 0), (0, 1), (0, 2)))
-        occ = Occupancy(grid, [other])
-        assert probe(occ, grid, (0, 0), (0, 1), 1) == 1
-        assert probe(occ, grid, (0, 0), (0, 1), 2) == 0
+        other = Path(1, ((1, 1), (0, 1), (1, 1)))
+        # at w = 1 the only path of cost 2 meets the other agent at (0, 1)
+        res = focal_search(make_request(grid, (0, 0), (0, 2), others=[other]))
+        assert res.path.cells == ((0, 0), (0, 1), (0, 2))
+        assert res.conflicts == 1
+        # with room for one wait it passes (0, 1) at t = 2, after the other
+        res = focal_search(make_request(grid, (0, 0), (0, 2), others=[other],
+                                        w=1.5))
+        assert res.cost == 3
+        assert res.conflicts == 0
 
     def test_edge_swap_counted(self):
-        grid = open_grid(2, 3)
+        grid = open_grid(1, 2)
         other = Path(1, ((0, 1), (0, 0)))
-        occ = Occupancy(grid, [other])
         # moving (0,0) -> (0,1) at t=1 crosses the other agent head-on
-        assert probe(occ, grid, (0, 0), (0, 1), 1) == 1
+        res = focal_search(make_request(grid, (0, 0), (0, 1), others=[other]))
+        assert res.conflicts == 1
         # arriving where the other agent arrives adds a vertex conflict too
         other2 = Path(2, ((0, 0), (0, 1)))
-        occ = Occupancy(grid, [Path(1, ((0, 1), (0, 0))), other2])
-        assert probe(occ, grid, (0, 0), (0, 1), 1) == 2
+        res = focal_search(make_request(grid, (0, 0), (0, 1),
+                                        others=[other, other2]))
+        assert res.cost == 1
+        assert res.conflicts == 2
 
     def test_parked_agent_occupies_forever(self):
-        grid = open_grid(2, 3)
+        grid = open_grid(1, 3)
         other = Path(1, ((0, 0), (0, 1)))
-        occ = Occupancy(grid, [other])
-        assert probe(occ, grid, (0, 2), (0, 1), 7) == 1
+        # barred from (0, 1) until t = 6, the agent passes it long after the
+        # other agent parked there at t = 1
+        cs = [vertex_constraint(0, (0, 1), t) for t in range(1, 6)]
+        res = focal_search(make_request(grid, (0, 2), (0, 0), cs,
+                                        others=[other]))
+        assert res.path.at(6) == (0, 1)
+        assert res.conflicts == 1
 
     @settings(max_examples=300, deadline=None)
-    @given(grid=small_grids(), data=st.data())
-    def test_step_conflicts_match_brute_count(self, grid, data):
-        # on a non-square grid a key strided by the width instead of the
-        # number of cells aliases one timestep's cells with the next's
-        assume(grid.height != grid.width)
+    @given(grid=small_grids(), data=st.data(),
+           w=st.sampled_from([1.0, 1.5, 3.0]))
+    def test_step_conflicts_match_brute_count(self, grid, data, w):
+        """Both searches report the conflicts of their path's steps with
+        the other paths, counted from cells alone."""
         cells = grid.passable_cells()
         assume(cells)
         others = {}  # end cell -> path: agents' targets are distinct
         for p in data.draw(st.lists(walks(grid, cells), max_size=4)):
             others.setdefault(p.cells[-1], p)
         others = list(others.values())
-        occ = Occupancy(grid, others)
-        t = data.draw(st.integers(1, 9))
-        if others and data.draw(st.booleans()):
-            # the reverse of another path's move: a swap
-            p = data.draw(st.sampled_from(others))
-            t = data.draw(st.integers(1, t))
-            u, v = p.at(t), p.at(t - 1)
-        else:
-            u = data.draw(st.sampled_from(cells))
-            v = data.draw(st.sampled_from(brute_steps(grid, u)))
-        assert probe(occ, grid, u, v, t) == \
-            brute_step_conflicts(others, u, v, t)
+        start, goal = data.draw(st.sampled_from(cells)), \
+            data.draw(st.sampled_from(cells))
+        for search in (focal_search, fastar_search):
+            res = search(make_request(grid, start, goal, others=others, w=w))
+            if res is None:
+                continue
+            path = res.path
+            assert res.conflicts == sum(
+                brute_step_conflicts(others, path.at(t - 1), path.at(t), t)
+                for t in range(1, res.cost + 1))
 
 
 class TestFocalSearch:
@@ -404,6 +433,52 @@ def _random_constraints(rng, grid, goal):
     if rng.random() < 0.2:
         cs.append(vertex_constraint(3, rng.choice(cells), rng.randint(0, 5)))
     return cs
+
+
+def kernel_digest(requests: int = 200, seed: int = 12) -> str:
+    """A hash of (path cells, cost, lb, tau, expansions) of both searches
+    over seeded constrained requests with other agents' paths, flex and a
+    parent lower bound drawn; None results count too."""
+    rng = random.Random(seed)
+    digest = hashlib.sha256()
+    done = 0
+    while done < requests:
+        grid = random_grid(rng, rng.randint(2, 9), rng.randint(2, 9), 0.2)
+        cells = grid.passable_cells()
+        if len(cells) < 4:
+            continue
+        start, goal = rng.sample(cells, 2)
+        cs = _random_constraints(rng, grid, goal)
+        near = brute_distances(grid, start)
+        if near.get(goal, 0) >= 2 and rng.random() < 0.5:
+            # bar every cell d steps out at t = d: f_min must rise, so the
+            # focal bound moves and OPEN states migrate into FOCAL
+            d = rng.randint(1, near[goal] - 1)
+            cs += [vertex_constraint(0, v, d) for v in sorted(near)
+                   if near[v] == d]
+        others = [random_walk_path(rng, grid, rng.choice(cells),
+                                   rng.randint(0, 14), agent=a)
+                  for a in range(1, rng.randint(1, 6))]
+        kwargs = dict(others=others, targets={1: rng.choice(cells)},
+                      w=rng.choice([1.0, 1.0, 1.05, 1.2, 2.0]),
+                      delta=rng.choice([-1.0, 0.0, 0.0, 0.5, 3.0]),
+                      lb_parent=rng.choice([0.0, float(rng.randint(0, 12))]))
+        for search in (focal_search, fastar_search):
+            res = search(make_request(grid, start, goal, cs, **kwargs))
+            digest.update(repr(None if res is None else (
+                res.path.cells, res.cost, res.lb, res.tau,
+                res.expansions)).encode())
+        done += 1
+    return digest.hexdigest()[:16]
+
+
+class TestKernelDigest:
+    def test_searches_match_the_reference_kernel(self):
+        """Both searches return exactly the paths, bounds and expansion
+        counts they did before one state dict replaced the kernel's closed
+        and in-FOCAL sets: the expected digest was taken from that kernel,
+        so a pure speed-up of the search must keep it."""
+        assert kernel_digest() == "34852928bc77c166"
 
 
 class TestEarliestArrival:
