@@ -129,17 +129,18 @@ class Classifier:
     def _forced(self, agent: int, c: Conflict, paths: list[Path],
                 constraints: list[tuple[Constraint, ...]],
                 targets: dict[int, Cell]) -> bool:
-        """True if no path of the current cost avoids the conflict point."""
+        """True if no path of the current cost avoids the conflict point:
+        with its side of the split added, the agent cannot reach its target
+        and park there by its current cost. Contradictory length
+        constraints leave an empty arrival window, which
+        `earliest_arrival` answers at once."""
         extra = split_constraint_for(agent, c)
         ctable = ConstraintTable(agent, [*constraints[agent], extra],
                                  targets=targets)
-        if ctable.infeasible:
-            return True
         path = paths[agent]
         return earliest_arrival(self.grid, ctable, path.cells[0],
                                 targets[agent], path.cost,
-                                arrive_ok=ctable.goal_arrival_ok,
-                                h=self.tables.get(targets[agent])) is None
+                                self.tables.get(targets[agent])) is None
 
 
 def split_constraint_for(agent: int, c: Conflict) -> Constraint:

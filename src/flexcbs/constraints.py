@@ -185,10 +185,6 @@ class ConstraintTable:
         INF if goal is blocked forever."""
         return max(self.earliest_goal, self.last_block_on(goal) + 1)
 
-    def goal_arrival_ok(self, goal: Cell, t: int) -> bool:
-        """Can the agent arrive at goal at t and park there forever?"""
-        return self.hold_time(goal) <= t <= self.latest_goal
-
 
 def estimate_delays(constraints: list[Constraint], agent: int,
                     parent_cost: int) -> int:

@@ -10,7 +10,7 @@ without solver state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 
@@ -65,38 +65,32 @@ def dfd_flex(delta_max: float, x_i: int, x_total: int,
     return FlexComputation(delta_max, rho, delta_d, delta, "dfd")
 
 
-@dataclass(frozen=True)
-class FrontierView:
-    """The pieces of frontier state MFD needs at child-generation time."""
-    lb: float                    # minimum SOLB over all open CT nodes
-    sum_lb_other_frontier: float  # sum of lb_j(N_F) over j != i
-
-
 def mfd_flex(w: float, lb_i_parent: float, delta_max: float, x_i: int,
              x_total: int, delay_sum: float, sum_cost_other: float,
-             sum_lb_other: float, frontier: FrontierView) -> FlexComputation:
+             sum_lb_other: float, lb: float,
+             sum_lb_other_frontier: float) -> FlexComputation:
     """Hierarchical flex choice: DFD, then CFD, then frontier-derived, else 0.
 
     A candidate flex is accepted when the implied threshold plus the other
-    agents' costs stays within w times the global lower bound.
+    agents' costs stays within w times the global lower bound `lb`, the
+    minimum SOLB over all open CT nodes. `sum_lb_other_frontier` is the sum
+    of lb_j over j != i in that minimum-SOLB node.
     """
     if delta_max < 0:
         return FlexComputation(delta_max, 1.0, 0.0, delta_max, "gfd")
 
     def globally_bounded(delta: float) -> bool:
-        return w * lb_i_parent + delta + sum_cost_other <= w * frontier.lb + 1e-9
+        return w * lb_i_parent + delta + sum_cost_other <= w * lb + 1e-9
 
     cand = dfd_flex(delta_max, x_i, x_total, delay_sum)
     if globally_bounded(cand.delta):
-        return FlexComputation(cand.delta_max, cand.rho, cand.delta_d,
-                               cand.delta, "mfd-dfd")
+        return replace(cand, mode_used="mfd-dfd")
     cand = cfd_flex(delta_max, x_i, x_total)
     if globally_bounded(cand.delta):
-        return FlexComputation(cand.delta_max, cand.rho, cand.delta_d,
-                               cand.delta, "mfd-cfd")
-    if (frontier.sum_lb_other_frontier < sum_lb_other
-            and sum_cost_other < w * frontier.sum_lb_other_frontier):
-        new_max = w * frontier.sum_lb_other_frontier - sum_cost_other
+        return replace(cand, mode_used="mfd-cfd")
+    if (sum_lb_other_frontier < sum_lb_other
+            and sum_cost_other < w * sum_lb_other_frontier):
+        new_max = w * sum_lb_other_frontier - sum_cost_other
         rho = conflict_share(x_i, x_total)
         return FlexComputation(new_max, rho, 0.0, rho * new_max, "mfd-frontier")
     return FlexComputation(delta_max, conflict_share(x_i, x_total), 0.0, 0.0,

@@ -15,8 +15,8 @@ import time
 from dataclasses import dataclass, field
 
 from . import flex as flexmod
-from .conflicts import (Classifier, Conflict, ConflictClass, conflict_counts,
-                        pick_conflict, split_conflict)
+from .conflicts import (Classifier, Conflict, ConflictClass, pick_conflict,
+                        split_conflict)
 # No solve calls it; kept because the benchmark's tracer wraps this name.
 from .conflicts import detect_conflicts  # noqa: F401
 from .constraints import (BY_PAIR, Constraint, ConstraintKind, ConstraintTable,
@@ -40,7 +40,6 @@ class SolverConfig:
     prioritize: bool = True
     symmetry: bool = True
     time_limit: float = 60.0
-    keep_tree: bool = False  # retain all generated CT nodes for inspection
 
     def __post_init__(self):
         if not self.w >= 1.0:  # also rejects NaN
@@ -60,19 +59,20 @@ class CTNode:
     paths: list[Path]
     lbs: list[float]
     conflicts: list[Conflict]
-    x_counts: list[int]
-    x_total: int
     depth: int
     seq: int
     parent: "CTNode | None" = None
     fhat: float = 0.0
-    # set once from paths and lbs, which no one changes after construction
+    # set once from paths, lbs and conflicts, which no one changes after
+    # construction, so a node may share them with its parent or a child
     soc: int = field(init=False)
     solb: float = field(init=False)
+    x_total: int = field(init=False)
 
     def __post_init__(self):
         self.soc = sum(p.cost for p in self.paths)
         self.solb = sum(self.lbs)
+        self.x_total = len(self.conflicts)
 
 
 @dataclass
@@ -187,7 +187,6 @@ class Frontier:
 
 class Solver:
     def __init__(self, instance: Instance, config: SolverConfig):
-        self.instance = instance
         self.config = config
         self.grid = instance.map
         self.k = instance.num_agents
@@ -209,7 +208,6 @@ class Solver:
         self._ehat_sum = 0.0
         self._ehat_n = 0
         self.lb_global = 0.0
-        self.tree_nodes: list[CTNode] = []
         self.metrics = RunMetrics()  # filled by solve()
 
     # ---------------- low-level plumbing ----------------
@@ -282,12 +280,8 @@ class Solver:
             lbs.append(result.lb)
         conflicts.sort(key=BY_PAIR)
         root = CTNode(constraints=constraints, paths=paths, lbs=lbs,
-                      conflicts=conflicts,
-                      x_counts=conflict_counts(conflicts, self.k),
-                      x_total=len(conflicts), depth=0, seq=self._next_seq())
+                      conflicts=conflicts, depth=0, seq=self._next_seq())
         self._set_fhat(root)
-        if self.config.keep_tree:
-            self.tree_nodes.append(root)
         return root
 
     # ---------------- expansion ----------------
@@ -325,10 +319,11 @@ class Solver:
         w = self.config.w
         costs = [p.cost for p in paths]
         delta_max = flexmod.max_allowed_flex(w, lbs, costs, agent)
-        x_i = parent.x_counts[agent]
-        x_total = parent.x_total
         if mode is FlexMode.GFD:
             return flexmod.gfd_flex(delta_max)
+        # x_i of X: how many of the parent's conflicts involve the agent
+        x_i = sum(agent in (c.a_i, c.a_j) for c in parent.conflicts)
+        x_total = parent.x_total
         if mode is FlexMode.CFD:
             return flexmod.cfd_flex(delta_max, x_i, x_total)
         if mode is FlexMode.DFD:
@@ -336,21 +331,20 @@ class Solver:
         # MFD: sample the frontier minimum-SOLB node at child-generation time
         nf = frontier.min_solb_node()
         sum_lb_other_nf = (nf.solb - nf.lbs[agent]) if nf is not None else 0.0
-        view = flexmod.FrontierView(lb=self.lb_global,
-                                    sum_lb_other_frontier=sum_lb_other_nf)
         return flexmod.mfd_flex(
             w, lbs[agent], delta_max, x_i, x_total, delay_sum,
             sum_cost_other=sum(costs) - costs[agent],
-            sum_lb_other=sum(lbs) - lbs[agent], frontier=view)
+            sum_lb_other=sum(lbs) - lbs[agent], lb=self.lb_global,
+            sum_lb_other_frontier=sum_lb_other_nf)
 
     def make_child(self, parent: CTNode, agent: int, constraint: Constraint,
-                   frontier: Frontier,
-                   metrics: RunMetrics) -> CTNode | None:
+                   frontier: Frontier) -> CTNode | None:
+        metrics = self.metrics
         constraints = list(parent.constraints)
         constraints[agent] = (*constraints[agent], constraint)
         paths = list(parent.paths)
         lbs = list(parent.lbs)
-        conflicts = list(parent.conflicts)
+        conflicts = parent.conflicts  # replaced, never changed, on a replan
         replans = self._replan_set(parent.paths, agent, constraint)
         for r in sorted(replans):
             rel = self._relevant_constraints(constraints, r)
@@ -374,9 +368,7 @@ class Solver:
             conflicts = [c for c in conflicts if r not in (c.a_i, c.a_j)]
             conflicts.extend(self.occ.conflicts_with(result.path))
         child = CTNode(constraints=constraints, paths=paths, lbs=lbs,
-                       conflicts=conflicts,
-                       x_counts=conflict_counts(conflicts, self.k),
-                       x_total=len(conflicts), depth=parent.depth + 1,
+                       conflicts=conflicts, depth=parent.depth + 1,
                        seq=self._next_seq(), parent=parent)
         # instrumentation
         self._ehat_sum += max(0.0, child.soc - parent.soc)
@@ -388,8 +380,6 @@ class Solver:
         if child.soc > self.config.w * child.solb + EPS:
             metrics.violations.append(
                 f"node {child.seq}: SOC {child.soc} > w*SOLB {self.config.w * child.solb:.3f}")
-        if self.config.keep_tree:
-            self.tree_nodes.append(child)
         return child
 
     def _try_bypass(self, node: CTNode, conflict: Conflict,
@@ -404,12 +394,10 @@ class Solver:
             if child.soc > self.config.w * node.solb + EPS:
                 continue
             # adopt the child's paths but keep the parent's constraints and
-            # lower bounds
+            # lower bounds; the lists are shared, as nothing changes them
             adopted = CTNode(
-                constraints=node.constraints,
-                paths=list(child.paths), lbs=list(node.lbs),
-                conflicts=list(child.conflicts),
-                x_counts=list(child.x_counts), x_total=child.x_total,
+                constraints=node.constraints, paths=child.paths,
+                lbs=node.lbs, conflicts=child.conflicts,
                 depth=node.depth, seq=self._next_seq(), parent=node.parent)
             self._set_fhat(adopted)
             return adopted
@@ -458,7 +446,7 @@ class Solver:
                 deepest = node
             conflict = self._choose_conflict(node)
             splits = split_conflict(conflict)
-            children = [self.make_child(node, agent, cons, frontier, metrics)
+            children = [self.make_child(node, agent, cons, frontier)
                         for agent, cons in splits]
             if self.config.bypass:
                 adopted = self._try_bypass(node, conflict, children)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 from .constraints import BY_PAIR, Conflict, ConstraintTable, Path
@@ -572,40 +572,34 @@ def fastar_search(req: LowLevelRequest) -> LowLevelResult | None:
     return _search(req, two_phase=True)
 
 
-def _any_arrival(_v: Cell, _t: int) -> bool:
-    return True
-
-
 def earliest_arrival(grid: GridMap, ctable: ConstraintTable, start: Cell,
-                     dest: Cell, horizon: int,
-                     arrive_ok: Callable[[Cell, int], bool] = _any_arrival,
-                     h: DistanceTable | None = None) -> int | None:
-    """Earliest timestep t <= horizon at which the agent can occupy dest with
-    arrive_ok(dest, t) true, or None.
+                     goal: Cell, horizon: int, h: DistanceTable) -> int | None:
+    """Earliest timestep t at which the agent can reach goal and park there
+    for good, with ctable.hold_time(goal) <= t <= min(horizon,
+    ctable.latest_goal); None if there is none.
 
     Time-expanded BFS under the constraint table; its one use is the
-    cardinality probe, with the goal-parking test as arrive_ok. `h` is the
-    static distance to dest, `compute_h(grid, dest)` (built when None): a
-    state with t + h > horizon cannot arrive in time, so it is never
-    generated.
+    cardinality probe. `h` is the static distance to goal: a state with
+    t + h past the window's end cannot arrive in time, so it is never
+    generated, and an empty window, or one h(start) overshoots, is answered
+    before the BFS starts.
     """
-    if h is None:
-        h = compute_h(grid, dest)
+    lo = ctable.hold_time(goal)
+    hi = min(horizon, ctable.latest_goal)
     dist, settle = h.dist, h.settle
     id_of = grid.id_of
     src = id_of(start)
-    h_src = settle(src)
-    if h_src > horizon or ctable.is_blocked(start, 0):
+    if lo > hi or settle(src) > hi or ctable.is_blocked(start, 0):
         return None
-    if start == dest and arrive_ok(dest, 0):
+    if start == goal and lo <= 0:
         return 0
     moves, cell_of = grid.moves, grid.cell_of
-    dst = id_of(dest)
+    dst = id_of(goal)
     guarded = _guarded_ids(grid, ctable)
     frontier = {src}
-    for t in range(1, horizon + 1):
+    for t in range(1, hi + 1):
         nxt = set()
-        slack = horizon - t
+        slack = hi - t
         for v in frontier:
             for v2 in moves[v]:
                 if v2 in nxt:
@@ -619,7 +613,7 @@ def earliest_arrival(grid: GridMap, ctable: ConstraintTable, start: Cell,
                         ctable.is_blocked(cell_of[v2], t)
                         or ctable.is_edge_blocked(cell_of[v], cell_of[v2], t)):
                     continue
-                if v2 == dst and arrive_ok(dest, t):
+                if v2 == dst and t >= lo:
                     return t
                 nxt.add(v2)
         if not nxt:

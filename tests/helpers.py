@@ -9,6 +9,7 @@ from collections import deque
 from hypothesis import strategies as st
 
 from flexcbs.constraints import Conflict, ConstraintKind, Path
+from flexcbs.highlevel import CTNode, Solver
 from flexcbs.map_io import AgentSpec, Cell, GridMap, Instance
 
 
@@ -172,13 +173,13 @@ def occupancy_state(occ) -> tuple:
 
 def brute_constrained_opt(grid: GridMap, constraints, agent: int, start: Cell,
                           goal: Cell, targets: dict[int, Cell],
-                          horizon: int, park: bool = True) -> int | None:
+                          horizon: int) -> int | None:
     """Minimum feasible arrival time under the constraint semantics, found by
     direct timestep-by-timestep reachability, independent of the search code.
 
-    With park=False an arrival only has to occupy the goal; otherwise the
-    agent must also be allowed to finish there and stay forever. Returns None
-    when no arrival at or before the horizon is feasible.
+    An arrival must occupy the goal and be allowed to finish there and stay
+    forever. Returns None when no arrival at or before the horizon is
+    feasible.
     """
     vertex: set[tuple[Cell, int]] = set()
     edges: set[tuple[Cell, Cell, int]] = set()
@@ -209,7 +210,7 @@ def brute_constrained_opt(grid: GridMap, constraints, agent: int, start: Cell,
 
     if blocked(start, 0):
         return None
-    if park and goal in blocked_from:
+    if goal in blocked_from:
         return None
     last_goal_block = -1
     for (v, t) in vertex:
@@ -217,7 +218,7 @@ def brute_constrained_opt(grid: GridMap, constraints, agent: int, start: Cell,
             last_goal_block = max(last_goal_block, t)
 
     def arrival_ok(t: int) -> bool:
-        return not park or (earliest <= t <= latest and t > last_goal_block)
+        return earliest <= t <= latest and t > last_goal_block
 
     if start == goal and arrival_ok(0):
         return 0
@@ -235,3 +236,24 @@ def brute_constrained_opt(grid: GridMap, constraints, agent: int, start: Cell,
             return None
         reach = nxt
     return None
+
+
+class TreeSolver(Solver):
+    """A Solver whose make_root and make_child keep every node they return
+    in `tree_nodes`, in generation order. Bypass-adopted nodes are not
+    among them."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.tree_nodes: list[CTNode] = []
+
+    def make_root(self) -> CTNode | None:
+        return self._keep(super().make_root())
+
+    def make_child(self, *args, **kwargs) -> CTNode | None:
+        return self._keep(super().make_child(*args, **kwargs))
+
+    def _keep(self, node: CTNode | None) -> CTNode | None:
+        if node is not None:
+            self.tree_nodes.append(node)
+        return node

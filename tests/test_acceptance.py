@@ -9,14 +9,14 @@ import pytest
 from flexcbs.bench import (BenchSpec, CSV_COLUMNS, RUNTIME_COLUMNS,
                            flex_histogram, run_benchmark)
 from flexcbs.constraints import ConstraintTable
-from flexcbs.flex import FlexMode, FrontierView, cfd_flex, dfd_flex, mfd_flex
+from flexcbs.flex import FlexMode, cfd_flex, dfd_flex, mfd_flex
 from flexcbs.highlevel import RunMetrics, Solver, SolverConfig
 from flexcbs.lowlevel import (INF, LowLevelRequest, Occupancy, compute_h,
                               fastar_search, focal_search)
 from flexcbs.map_io import AgentSpec, Instance
 from flexcbs.oracle import optimal_soc, validate
-from helpers import (brute_constrained_opt, largest_component, random_grid,
-                     random_instance, random_walk_path)
+from helpers import (TreeSolver, brute_constrained_opt, largest_component,
+                     random_grid, random_instance, random_walk_path)
 from test_lowlevel import _random_constraints
 
 W_VALUES = [1.0, 1.02, 1.05, 1.5]
@@ -85,9 +85,8 @@ def grid8_runs():
     for _ in range(50):
         inst = fixed_size_instance(rng, 8, rng.randint(2, 8), 0.15)
         for mode in ALL_MODES:
-            cfg = SolverConfig(w=1.05, flex_mode=mode, keep_tree=True,
-                               time_limit=3.0)
-            solver = Solver(inst, cfg)
+            cfg = SolverConfig(w=1.05, flex_mode=mode, time_limit=3.0)
+            solver = TreeSolver(inst, cfg)
             res = solver.solve()
             runs.append((inst, solver, res))
     return runs
@@ -146,13 +145,11 @@ def test_criterion_04_flex_bounds(capsys):
         sum_cost = rng.uniform(0, 2200)
         nf_sum = rng.uniform(0, 2000)
         delta_max = w * sum_lb - sum_cost
-        frontier = FrontierView(lb=nf_sum + lb_i,
-                                sum_lb_other_frontier=nf_sum)
         computations = [
             cfd_flex(delta_max, x_i, x_total),
             dfd_flex(delta_max, x_i, x_total, delay),
             mfd_flex(w, lb_i, delta_max, x_i, x_total, delay, sum_cost,
-                     sum_lb, frontier),
+                     sum_lb, nf_sum + lb_i, nf_sum),
         ]
         for fc in computations:
             if not 0.0 <= fc.rho <= 1.0:

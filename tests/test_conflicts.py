@@ -9,7 +9,7 @@ from flexcbs.conflicts import (Classifier, Conflict, ConflictClass,
                                split_conflict, split_constraint_for)
 from flexcbs.constraints import (ConstraintKind, ConstraintTable, Path,
                                  length_leq, vertex_constraint)
-from flexcbs.lowlevel import Occupancy, earliest_arrival
+from flexcbs.lowlevel import Occupancy, compute_h, earliest_arrival
 from flexcbs.map_io import GridMap
 from helpers import (brute_constrained_opt, brute_pair_conflicts,
                      grid_from_rows, open_grid, random_grid, random_walk_path)
@@ -212,7 +212,7 @@ class TestClassifier:
         replan = ConstraintTable(0, [split_constraint_for(0, c),
                                      *constraints[2]], targets=targets)
         assert earliest_arrival(grid, replan, (0, 0), (1, 1), 2,
-                                arrive_ok=replan.goal_arrival_ok) is None
+                                compute_h(grid, (1, 1))) is None
         classifier = Classifier(grid)
         assert classifier._forced(0, c, [p0, p1, Path(2, ((1, 0),))],
                                   constraints, targets)
@@ -287,6 +287,6 @@ class TestMinCostWithin:
             cap = rng.randint(1, 8)
             table = ConstraintTable(0, cs)
             got = earliest_arrival(grid, table, start, goal, cap,
-                                   arrive_ok=table.goal_arrival_ok)
+                                   compute_h(grid, goal))
             want = brute_constrained_opt(grid, cs, 0, start, goal, {}, cap)
             assert got == want

@@ -69,21 +69,18 @@ class TestConstraintTable:
 
     def test_goal_arrival_requires_no_future_block(self):
         table = ConstraintTable(0, [vertex_constraint(0, (0, 2), 5)])
-        assert not table.goal_arrival_ok((0, 2), 4)
-        assert table.goal_arrival_ok((0, 2), 6)
+        assert table.hold_time((0, 2)) == 6
 
     def test_goal_arrival_window(self):
         table = ConstraintTable(0, [length_gt(0, 2), length_leq(0, 6)])
-        assert not table.goal_arrival_ok((0, 0), 2)
-        assert table.goal_arrival_ok((0, 0), 3)
-        assert table.goal_arrival_ok((0, 0), 6)
-        assert not table.goal_arrival_ok((0, 0), 7)
+        assert table.hold_time((0, 0)) == 3
+        assert table.latest_goal == 6
 
     def test_blocked_forever_goal_never_ok(self):
         targets = {1: (2, 2)}
         table = ConstraintTable(0, [length_leq(1, 4)], targets=targets)
         assert table.last_block_on((2, 2)) == math.inf
-        assert not table.goal_arrival_ok((2, 2), 100)
+        assert table.hold_time((2, 2)) == math.inf
 
 
 class TestEstimateDelays:

@@ -3,9 +3,8 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flexcbs.flex import (FlexMode, FrontierView, cfd_flex, conflict_share,
-                          dfd_flex, gfd_flex, max_allowed_flex, mfd_flex,
-                          threshold)
+from flexcbs.flex import (FlexMode, cfd_flex, conflict_share, dfd_flex,
+                          gfd_flex, max_allowed_flex, mfd_flex, threshold)
 
 
 class TestMaxAllowedFlex:
@@ -83,10 +82,8 @@ class TestMfd:
 
     def run(self, delta_max, x_i, x_total, delay_sum, sum_lb_other=950.0,
             nf_sum=940.0):
-        frontier = FrontierView(lb=self.LB_GLOBAL,
-                                sum_lb_other_frontier=nf_sum)
         return mfd_flex(self.W, self.LB_I, delta_max, x_i, x_total, delay_sum,
-                        self.SUM_COST, sum_lb_other, frontier)
+                        self.SUM_COST, sum_lb_other, self.LB_GLOBAL, nf_sum)
 
     def test_dfd_candidate_accepted(self):
         # DFD delta: 2 + 0.5 * (10 - 2) = 6; 21 + 6 + 980 <= 1008
@@ -175,9 +172,8 @@ def test_mfd_bounds(x_i, extra, delay_sum, lb_i, sum_cost, sum_lb, nf_sum, w):
     x_total = x_i + extra
     # delta_max must be consistent with the other-agent aggregates
     delta_max = w * sum_lb - sum_cost
-    frontier = FrontierView(lb=nf_sum + lb_i, sum_lb_other_frontier=nf_sum)
     fc = mfd_flex(w, lb_i, delta_max, x_i, x_total, delay_sum, sum_cost,
-                  sum_lb, frontier)
+                  sum_lb, nf_sum + lb_i, nf_sum)
     assert 0.0 <= fc.rho <= 1.0
     if delta_max < 0:
         assert fc.delta == delta_max

@@ -1,8 +1,10 @@
+import inspect
 import math
 import random
 
 import pytest
 
+from flexcbs import flex as flexmod
 from flexcbs.conflicts import Classifier, detect_conflicts
 from flexcbs.constraints import ConflictClass
 from flexcbs.flex import FlexMode
@@ -10,7 +12,7 @@ from flexcbs.highlevel import Solver, SolverConfig, solve
 from flexcbs.lowlevel import Occupancy
 from flexcbs.map_io import AgentSpec, Instance
 from flexcbs.oracle import optimal_soc, validate
-from helpers import (grid_from_rows, occupancy_state, open_grid,
+from helpers import (TreeSolver, grid_from_rows, occupancy_state, open_grid,
                      random_instance, swap_instance)
 
 ALL_MODES = list(FlexMode)
@@ -163,9 +165,8 @@ class TestTreeInvariants:
             inst = random_instance(rng, 5, 5, 3)
             # the second draw (3x5, 3 agents, optimum 26) times out under
             # every configuration; 5 s of its tree is plenty to check
-            cfg = SolverConfig(w=1.05, flex_mode=FlexMode.MFD, keep_tree=True,
-                               time_limit=5.0)
-            solver = Solver(inst, cfg)
+            cfg = SolverConfig(w=1.05, flex_mode=FlexMode.MFD, time_limit=5.0)
+            solver = TreeSolver(inst, cfg)
             solver.solve()
             for node in solver.tree_nodes:
                 if node.parent is None:
@@ -178,7 +179,8 @@ class TestTreeInvariants:
 
     def test_soc_and_solb_sum_the_node(self, monkeypatch):
         """Every node, the root, children and bypass-adopted ones alike,
-        carries the SOC and SOLB of its own paths and lower bounds."""
+        carries the SOC and SOLB of its own paths and lower bounds, and the
+        conflict count of its own conflict list."""
         adopted = []
         bypass = Solver._try_bypass
 
@@ -193,14 +195,14 @@ class TestTreeInvariants:
         generated = []  # the roots and children
         for _ in range(6):
             inst = random_instance(rng, 5, 5, 4)
-            solver = Solver(inst, SolverConfig(
-                w=1.05, flex_mode=FlexMode.MFD, keep_tree=True,
-                time_limit=10.0))
+            solver = TreeSolver(inst, SolverConfig(
+                w=1.05, flex_mode=FlexMode.MFD, time_limit=10.0))
             assert solver.solve().outcome == "solved"
             generated += solver.tree_nodes
         for node in generated + adopted:
             assert node.soc == sum(p.cost for p in node.paths)
             assert node.solb == sum(node.lbs)
+            assert node.x_total == len(node.conflicts)
         assert len(generated) >= 500 and len(adopted) >= 10
 
     @pytest.mark.parametrize("mode", ALL_MODES)
@@ -212,15 +214,14 @@ class TestTreeInvariants:
             inst = random_instance(rng, 5, 5, 3)
             if not optimal_soc(inst).solvable:
                 continue
-            solver = Solver(inst, SolverConfig(w=1.05, flex_mode=mode,
-                                               low_level=low_level,
-                                               time_limit=1.0, keep_tree=True))
+            solver = TreeSolver(inst, SolverConfig(
+                w=1.05, flex_mode=mode, low_level=low_level, time_limit=1.0))
             solver.solve()
             for node in solver.tree_nodes:
                 nodes += 1
-                conflicts, counts, total = detect_conflicts(inst.map, node.paths)
+                conflicts, _counts, total = detect_conflicts(inst.map,
+                                                             node.paths)
                 assert set(node.conflicts) == set(conflicts)
-                assert node.x_counts == counts
                 assert node.x_total == total
                 if node.parent is None:
                     continue
@@ -232,6 +233,47 @@ class TestTreeInvariants:
                 a = changed[0]
                 assert own[a][:-1] == parent[a]
         assert nodes > 0
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_flex_reads_the_parents_conflict_counts(self, mode, monkeypatch):
+        """CFD, DFD and MFD are handed x_i, how many of the parent's
+        conflicts involve the replanned agent, and x_total, all of them, as
+        a rescan of the parent's paths counts them."""
+        compute = Solver._compute_flex
+        replan = {}
+        checked = {"calls": 0, "shares": 0}
+
+        def spy_compute(self, lbs, paths, agent, parent, *args):
+            _, counts, total = detect_conflicts(self.grid, parent.paths)
+            replan.update(x_i=counts[agent], x_total=total)
+            return compute(self, lbs, paths, agent, parent, *args)
+
+        def spying(real):
+            signature = inspect.signature(real)
+
+            def spy(*args, **kwargs):
+                got = signature.bind(*args, **kwargs).arguments
+                assert (got["x_i"], got["x_total"]) == \
+                    (replan["x_i"], replan["x_total"])
+                checked["calls"] += 1
+                # the agent takes part in some but not all of them
+                checked["shares"] += 0 < got["x_i"] < got["x_total"]
+                return real(*args, **kwargs)
+            return spy
+
+        monkeypatch.setattr(Solver, "_compute_flex", spy_compute)
+        for name in ("cfd_flex", "dfd_flex", "mfd_flex"):
+            monkeypatch.setattr(flexmod, name,
+                                spying(getattr(flexmod, name)))
+        rng = random.Random(28)
+        for _ in range(6):
+            inst = random_instance(rng, 5, 5, 4)
+            solve(inst, SolverConfig(w=1.05, flex_mode=mode, time_limit=1.0))
+        if mode in (FlexMode.NONE, FlexMode.GFD):
+            assert checked["calls"] == 0
+        else:
+            assert checked["calls"] >= 20
+            assert checked["shares"] >= 100
 
     @pytest.mark.parametrize("low_level", LOW_LEVELS)
     def test_every_replan_sees_the_other_paths(self, low_level, monkeypatch):

@@ -484,25 +484,43 @@ class TestKernelDigest:
 class TestEarliestArrival:
     def test_straight_line(self):
         grid = open_grid(1, 5)
-        t = earliest_arrival(grid, ConstraintTable(0, []), (0, 0), (0, 4), 20)
+        t = earliest_arrival(grid, ConstraintTable(0, []), (0, 0), (0, 4), 20,
+                             compute_h(grid, (0, 4)))
         assert t == 4
 
     def test_constraints_delay_arrival(self):
         grid = open_grid(1, 5)
         table = ConstraintTable(0, [vertex_constraint(0, (0, 1), t)
                                     for t in range(4)])
-        t = earliest_arrival(grid, table, (0, 0), (0, 4), 20)
+        t = earliest_arrival(grid, table, (0, 0), (0, 4), 20,
+                             compute_h(grid, (0, 4)))
         assert t == 7
 
     def test_start_equals_dest(self):
         grid = open_grid(1, 5)
         assert earliest_arrival(grid, ConstraintTable(0, []), (0, 1), (0, 1),
-                                5) == 0
+                                5, compute_h(grid, (0, 1))) == 0
 
     def test_horizon_exhausted(self):
         grid = open_grid(1, 5)
         assert earliest_arrival(grid, ConstraintTable(0, []), (0, 0), (0, 4),
-                                3) is None
+                                3, compute_h(grid, (0, 4))) is None
+
+    @pytest.mark.parametrize("constraints,settled", [
+        ([length_gt(0, 5), length_leq(0, 4)], 0),  # contradictory lengths
+        ([vertex_constraint(0, (0, 4), 20)], 0),   # parks no earlier than 21
+        ([length_leq(1, 0)], 0),                   # goal blocked for good
+        ([length_leq(0, 3)], 4),                   # ends before h(start) = 4
+    ])
+    def test_hopeless_window_generates_no_state(self, constraints, settled):
+        """A window hold_time(goal) .. min(horizon, latest_goal) that is
+        empty, or that ends before h(start), is answered before the BFS:
+        the goal's table is settled no further than h(start)."""
+        grid = open_grid(1, 12)
+        table = ConstraintTable(0, constraints, targets={1: (0, 4)})
+        h = compute_h(grid, (0, 4))
+        assert earliest_arrival(grid, table, (0, 0), (0, 4), 20, h) is None
+        assert max(d for d in h.dist if d is not None) == settled
 
 
 class TestFailFast:
@@ -626,15 +644,14 @@ class TestPrunedSweepsMatchBrute:
     """The distance prunes are exact: results equal brute-force reachability."""
 
     @settings(max_examples=150, deadline=None)
-    @given(problem=constrained_problems(), horizon=st.integers(0, 14),
-           goal_test=st.booleans())
-    def test_earliest_arrival(self, problem, horizon, goal_test):
+    @given(problem=constrained_problems(), horizon=st.integers(0, 14))
+    def test_earliest_arrival(self, problem, horizon):
         grid, cells, start, goal, cs, targets = problem
         table = ConstraintTable(0, cs, targets=targets)
-        kwargs = {"arrive_ok": table.goal_arrival_ok} if goal_test else {}
-        got = earliest_arrival(grid, table, start, goal, horizon, **kwargs)
+        got = earliest_arrival(grid, table, start, goal, horizon,
+                               compute_h(grid, goal))
         brute = brute_constrained_opt(grid, cs, 0, start, goal, targets,
-                                      horizon, park=goal_test)
+                                      horizon)
         assert got == brute
 
     @settings(max_examples=150, deadline=None)
@@ -695,17 +712,13 @@ class TestLazyTables:
             assert results[0] == results[1]
 
     @settings(max_examples=150, deadline=None)
-    @given(problem=constrained_problems(), horizon=st.integers(0, 14),
-           goal_test=st.booleans())
-    def test_earliest_arrival(self, problem, horizon, goal_test):
+    @given(problem=constrained_problems(), horizon=st.integers(0, 14))
+    def test_earliest_arrival(self, problem, horizon):
         grid, cells, start, goal, cs, targets = problem
         table = ConstraintTable(0, cs, targets=targets)
-        kwargs = {"arrive_ok": table.goal_arrival_ok} if goal_test else {}
         lazy, full = self.tables(grid, start, goal)
-        assert earliest_arrival(grid, table, start, goal, horizon,
-                                h=lazy, **kwargs) == \
-            earliest_arrival(grid, table, start, goal, horizon,
-                             h=full, **kwargs)
+        assert earliest_arrival(grid, table, start, goal, horizon, lazy) == \
+            earliest_arrival(grid, table, start, goal, horizon, full)
 
     # each seed's solve builds tables around other agents' targets, so every
     # banned key is a walls table
@@ -789,9 +802,9 @@ class TestHoldingTime:
 
     @settings(max_examples=200, deadline=None)
     @given(problem=constrained_problems(), t=st.integers(0, 16))
-    def test_goal_arrival_ok_matches_three_clause_test(self, problem, t):
+    def test_arrival_window_matches_three_clause_test(self, problem, t):
         _grid, _cells, _start, goal, cs, targets = problem
         table = ConstraintTable(0, cs, targets=targets)
         old = (table.earliest_goal <= t <= table.latest_goal
                and t > table.last_block_on(goal))
-        assert table.goal_arrival_ok(goal, t) == old
+        assert (table.hold_time(goal) <= t <= table.latest_goal) == old
