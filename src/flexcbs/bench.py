@@ -99,9 +99,6 @@ class BenchSpec:
     low_level: str = "focal"
     time_limit: float = 60.0
     repetitions: int = 1
-    bypass: bool = True
-    prioritize: bool = True
-    symmetry: bool = True
     out_csv: str | None = None
     out_summary: str | None = None
     out_plots: str | None = None
@@ -148,9 +145,7 @@ def run_benchmark(spec: BenchSpec) -> list[ResultRow]:
                     for rep in range(spec.repetitions):
                         config = SolverConfig(
                             w=w, flex_mode=FlexMode(mode),
-                            low_level=spec.low_level, bypass=spec.bypass,
-                            prioritize=spec.prioritize,
-                            symmetry=spec.symmetry,
+                            low_level=spec.low_level,
                             time_limit=spec.time_limit)
                         result = Solver(instance, config).solve()
                         outcome = result.outcome

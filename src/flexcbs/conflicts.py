@@ -2,8 +2,8 @@
 
 Target conflicts split into a LENGTH_GT/LENGTH_LEQ pair on the agent whose
 target is contested; other vertex/edge conflicts split into the usual
-symmetric pair. Cardinality is checked with bounded single-agent searches
-rather than MDDs.
+symmetric pair. Cardinality is checked with single-agent probes that run
+the low level's focal kernel (`earliest_arrival`) rather than MDDs.
 """
 
 from __future__ import annotations
@@ -84,7 +84,8 @@ class Classifier:
     With `symmetry` a conflict at a finished agent's target is a TARGET
     conflict; otherwise, with `prioritize`, cardinality probes rank it. The
     probes read the table to the agent's target from `tables`, the grid's
-    `Distances` cache, shared with the owner (a fresh one if None).
+    `Distances` cache, shared with the owner (a fresh one if None). One
+    Classifier serves one Solver: its probe verdicts are kept for its life.
     """
 
     def __init__(self, grid: GridMap, symmetry: bool = True,
@@ -93,6 +94,9 @@ class Classifier:
         self.symmetry = symmetry
         self.prioritize = prioritize
         self.tables = tables if tables is not None else Distances(grid)
+        # (agent, id of its constraint tuple, split constraint, cost) ->
+        # (that tuple, verdict); holding the tuple keeps its id from reuse
+        self._verdicts: dict[tuple, tuple[tuple[Constraint, ...], bool]] = {}
 
     def classify(self, conflict: Conflict, paths: list[Path],
                  constraints: list[tuple[Constraint, ...]],
@@ -131,16 +135,26 @@ class Classifier:
                 targets: dict[int, Cell]) -> bool:
         """True if no path of the current cost avoids the conflict point:
         with its side of the split added, the agent cannot reach its target
-        and park there by its current cost. Contradictory length
-        constraints leave an empty arrival window, which
-        `earliest_arrival` answers at once."""
+        and park there by its current cost.
+
+        The probe reads the agent's own constraints only, so its verdict is
+        a function of the memo key. Children share unchanged constraint
+        tuples by reference, so the key holds the tuple's id rather than
+        its hash, which would cost about as much as a probe."""
+        own = constraints[agent]
         extra = split_constraint_for(agent, c)
-        ctable = ConstraintTable(agent, [*constraints[agent], extra],
-                                 targets=targets)
         path = paths[agent]
-        return earliest_arrival(self.grid, ctable, path.cells[0],
-                                targets[agent], path.cost,
-                                self.tables.get(targets[agent])) is None
+        key = (agent, id(own), extra, path.cost)
+        known = self._verdicts.get(key)
+        if known is not None:
+            return known[1]
+        ctable = ConstraintTable(
+            agent, [*own, extra, length_leq(agent, path.cost)],
+            targets=targets)
+        forced = earliest_arrival(self.grid, ctable, path.cells[0],
+                                  targets[agent], self.tables) is None
+        self._verdicts[key] = (own, forced)
+        return forced
 
 
 def split_constraint_for(agent: int, c: Conflict) -> Constraint:

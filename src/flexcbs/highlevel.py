@@ -61,7 +61,6 @@ class CTNode:
     conflicts: list[Conflict]
     depth: int
     seq: int
-    parent: "CTNode | None" = None
     fhat: float = 0.0
     # set once from paths, lbs and conflicts, which no one changes after
     # construction, so a node may share them with its parent or a child
@@ -369,7 +368,7 @@ class Solver:
             conflicts.extend(self.occ.conflicts_with(result.path))
         child = CTNode(constraints=constraints, paths=paths, lbs=lbs,
                        conflicts=conflicts, depth=parent.depth + 1,
-                       seq=self._next_seq(), parent=parent)
+                       seq=self._next_seq())
         # instrumentation
         self._ehat_sum += max(0.0, child.soc - parent.soc)
         self._ehat_n += 1
@@ -398,7 +397,7 @@ class Solver:
             adopted = CTNode(
                 constraints=node.constraints, paths=child.paths,
                 lbs=node.lbs, conflicts=child.conflicts,
-                depth=node.depth, seq=self._next_seq(), parent=node.parent)
+                depth=node.depth, seq=self._next_seq())
             self._set_fhat(adopted)
             return adopted
         return None

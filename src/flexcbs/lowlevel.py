@@ -9,7 +9,8 @@ t >= hold. Focal search expands nodes with f <= tau ordered by conflict count
 `Occupancy`) and returns the first goal path; FA* then keeps expanding by
 f-order from OPEN to tighten the returned lower bound up to the optimal
 constrained path cost, and stops once f reaches the cost of the path it
-holds.
+holds. `_search` is the package's one time-expanded search: the
+cardinality probe, `earliest_arrival`, is its focal phase at w = 1.
 
 h is the exact static distance to the goal. Every static table comes from
 one per-grid cache, `Distances`: a `DistanceTable` per (target, banned
@@ -334,12 +335,6 @@ def _reconstruct(parent: dict, cell_of: tuple[Cell, ...], agent: int,
     return Path(agent, tuple(cells))
 
 
-def _guarded_ids(grid: GridMap, ctable: ConstraintTable) -> set[int]:
-    """Ids of the cells some constraint bars; no other id is ever blocked."""
-    id_of = grid.id_of
-    return {id_of(c) for c in ctable.guarded if grid.in_bounds(c)}
-
-
 def _search(req: LowLevelRequest, two_phase: bool) -> LowLevelResult | None:
     """Focal search over space-time states, then, if two_phase, FA*'s
     f-ordered phase on the same tree.
@@ -368,27 +363,29 @@ def _search(req: LowLevelRequest, two_phase: bool) -> LowLevelResult | None:
     returned path.
     """
     ctable, grid, tables = req.ctable, req.grid, req.tables
-    if ctable.infeasible:
+    latest = ctable.latest_goal
+    hold = ctable.hold_time(req.goal)
+    # An empty window, or a goal blocked forever (hold = INF), fails before
+    # the goal's table is read.
+    if ctable.infeasible or hold > latest or hold == INF:
         return None
     start, goal = grid.id_of(req.start), grid.id_of(req.goal)
     horizon = req.effective_horizon()
-    latest = ctable.latest_goal
-    hold = ctable.hold_time(req.goal)
     # h is consistent, so a state with t + h > latest and all its descendants
     # reach the goal too late: fail now, or prune such states in expand().
-    # A goal blocked forever has hold = INF. An unreachable goal (h = INF)
-    # with no latest goal fails at the first OPEN check instead, where
-    # f_min = INF.
+    # An unreachable goal (h = INF) with no latest goal fails at the first
+    # OPEN check instead, where f_min = INF.
     h = tables.get(req.goal)
     dist, settle = h.dist, h.settle
     h_start = settle(start)
-    if h_start > latest or hold > latest or hold == INF:
+    if h_start > latest:
         return None
     if ctable.is_blocked(req.start, 0):
         return None
     moves, cell_of = grid.moves, grid.cell_of
     n = len(moves)
-    guarded = _guarded_ids(grid, ctable)
+    # ids of the cells some constraint bars; no other id is ever blocked
+    guarded = {grid.id_of(c) for c in ctable.guarded if grid.in_bounds(c)}
     # From t_cut on, every cell some other agent's LENGTH_LEQ blocks stays
     # blocked, so a state at t >= t_cut whose cell cannot reach the goal
     # around those cells (INF in its table, settled in full so the test is
@@ -573,50 +570,18 @@ def fastar_search(req: LowLevelRequest) -> LowLevelResult | None:
 
 
 def earliest_arrival(grid: GridMap, ctable: ConstraintTable, start: Cell,
-                     goal: Cell, horizon: int, h: DistanceTable) -> int | None:
+                     goal: Cell, tables: Distances) -> int | None:
     """Earliest timestep t at which the agent can reach goal and park there
-    for good, with ctable.hold_time(goal) <= t <= min(horizon,
-    ctable.latest_goal); None if there is none.
+    for good, with ctable.hold_time(goal) <= t <= ctable.latest_goal; None
+    if there is none. The cardinality probe caps the window with a
+    LENGTH_LEQ at the agent's current cost.
 
-    Time-expanded BFS under the constraint table; its one use is the
-    cardinality probe. `h` is the static distance to goal: a state with
-    t + h past the window's end cannot arrive in time, so it is never
-    generated, and an empty window, or one h(start) overshoots, is answered
-    before the BFS starts.
+    The focal kernel at w = 1 with no flex and no other paths: FOCAL then
+    holds only states with f = f_min, so the first goal it pops is the
+    earliest arrival, and the (zero) conflict counts only order the search.
     """
-    lo = ctable.hold_time(goal)
-    hi = min(horizon, ctable.latest_goal)
-    dist, settle = h.dist, h.settle
-    id_of = grid.id_of
-    src = id_of(start)
-    if lo > hi or settle(src) > hi or ctable.is_blocked(start, 0):
-        return None
-    if start == goal and lo <= 0:
-        return 0
-    moves, cell_of = grid.moves, grid.cell_of
-    dst = id_of(goal)
-    guarded = _guarded_ids(grid, ctable)
-    frontier = {src}
-    for t in range(1, hi + 1):
-        nxt = set()
-        slack = hi - t
-        for v in frontier:
-            for v2 in moves[v]:
-                if v2 in nxt:
-                    continue
-                hv = dist[v2]
-                if hv is None:
-                    hv = settle(v2)
-                if hv > slack:
-                    continue
-                if v2 in guarded and (
-                        ctable.is_blocked(cell_of[v2], t)
-                        or ctable.is_edge_blocked(cell_of[v], cell_of[v2], t)):
-                    continue
-                if v2 == dst and t >= lo:
-                    return t
-                nxt.add(v2)
-        if not nxt:
-            return None
-        frontier = nxt
-    return None
+    req = LowLevelRequest(grid=grid, agent=ctable.agent, start=start,
+                          goal=goal, ctable=ctable, occupancy=Occupancy(grid),
+                          tables=tables)
+    result = _search(req, two_phase=False)
+    return None if result is None else result.cost

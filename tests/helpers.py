@@ -240,18 +240,23 @@ def brute_constrained_opt(grid: GridMap, constraints, agent: int, start: Cell,
 
 class TreeSolver(Solver):
     """A Solver whose make_root and make_child keep every node they return
-    in `tree_nodes`, in generation order. Bypass-adopted nodes are not
-    among them."""
+    in `tree_nodes`, in generation order, and map each child's seq to the
+    parent make_child was given in `parent_of`. Bypass-adopted nodes are
+    not among the kept nodes, but may be a kept node's parent."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.tree_nodes: list[CTNode] = []
+        self.parent_of: dict[int, CTNode] = {}
 
     def make_root(self) -> CTNode | None:
         return self._keep(super().make_root())
 
-    def make_child(self, *args, **kwargs) -> CTNode | None:
-        return self._keep(super().make_child(*args, **kwargs))
+    def make_child(self, parent: CTNode, *args, **kwargs) -> CTNode | None:
+        child = self._keep(super().make_child(parent, *args, **kwargs))
+        if child is not None:
+            self.parent_of[child.seq] = parent
+        return child
 
     def _keep(self, node: CTNode | None) -> CTNode | None:
         if node is not None:

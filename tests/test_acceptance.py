@@ -210,14 +210,15 @@ def test_criterion_06_lb_monotonicity(capsys, grid8_runs):
     branches = 0
     for _inst, solver, _res in grid8_runs:
         for node in solver.tree_nodes:
-            if node.parent is None:
+            parent = solver.parent_of.get(node.seq)
+            if parent is None:
                 continue
             branches += 1
-            if node.solb < node.parent.solb - 1e-9:
+            if node.solb < parent.solb - 1e-9:
                 bad.append(f"node {node.seq}: LB {node.solb} < parent "
-                           f"{node.parent.solb}")
+                           f"{parent.solb}")
             for i in range(len(node.lbs)):
-                if node.lbs[i] < node.parent.lbs[i] - 1e-9:
+                if node.lbs[i] < parent.lbs[i] - 1e-9:
                     bad.append(f"node {node.seq}: agent {i} lb dropped")
     report(capsys, 6, "lower-bound monotonicity along tree branches", not bad,
            f"{branches} parent-child edges" +

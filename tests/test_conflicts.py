@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -9,10 +10,13 @@ from flexcbs.conflicts import (Classifier, Conflict, ConflictClass,
                                split_conflict, split_constraint_for)
 from flexcbs.constraints import (ConstraintKind, ConstraintTable, Path,
                                  length_leq, vertex_constraint)
-from flexcbs.lowlevel import Occupancy, compute_h, earliest_arrival
+from flexcbs.flex import FlexMode
+from flexcbs.highlevel import Solver, SolverConfig
+from flexcbs.lowlevel import Distances, Occupancy, earliest_arrival
 from flexcbs.map_io import GridMap
 from helpers import (brute_constrained_opt, brute_pair_conflicts,
-                     grid_from_rows, open_grid, random_grid, random_walk_path)
+                     grid_from_rows, open_grid, random_grid, random_instance,
+                     random_walk_path)
 
 
 class TestDetectConflicts:
@@ -197,8 +201,9 @@ class TestClassifier:
         assert c.cls is ConflictClass.UNCLASSIFIED
 
 
-    @pytest.mark.xfail(strict=True, reason="the probe's table lacks other "
-                       "agents' LENGTH_LEQ target blocks")
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the probe's table lacks other agents' "
+                       "LENGTH_LEQ target blocks")
     def test_forced_sees_other_agents_target_blocks(self):
         # agent 0 must reach (1,1) by t = 2 without (0,1) at t = 1; the
         # only other way runs through (1,0), agent 2's target, which
@@ -210,12 +215,46 @@ class TestClassifier:
         constraints = [(), (), (length_leq(2, 0),)]
         c = Conflict(0, 1, (0, 1), 1)
         replan = ConstraintTable(0, [split_constraint_for(0, c),
-                                     *constraints[2]], targets=targets)
-        assert earliest_arrival(grid, replan, (0, 0), (1, 1), 2,
-                                compute_h(grid, (1, 1))) is None
+                                     length_leq(0, 2), *constraints[2]],
+                                 targets=targets)
+        assert earliest_arrival(grid, replan, (0, 0), (1, 1),
+                                Distances(grid)) is None
         classifier = Classifier(grid)
         assert classifier._forced(0, c, [p0, p1, Path(2, ((1, 0),))],
                                   constraints, targets)
+
+
+def classifier_digest(solves: int = 10, seed: int = 5) -> str:
+    """A hash of every `Classifier.classify` result (the conflict and its
+    class) over seeded small solves with symmetry and prioritize on. Every
+    solve must finish, so the set of classified conflicts does not depend
+    on the clock."""
+    rng = random.Random(seed)
+    digest = hashlib.sha256()
+    for _ in range(solves):
+        inst = random_instance(rng, 6, 7, rng.randint(3, 5), density=0.25)
+        solver = Solver(inst, SolverConfig(
+            w=rng.choice([1.0, 1.05, 1.2]), flex_mode=FlexMode.MFD,
+            low_level=rng.choice(["focal", "fastar"]), time_limit=60.0))
+        classify = solver.classifier.classify
+
+        def recording(*args, classify=classify):
+            c = classify(*args)
+            digest.update(repr((c.a_i, c.a_j, c.v, c.t, c.u,
+                                c.cls.name)).encode())
+            return c
+
+        solver.classifier.classify = recording
+        assert solver.solve().outcome == "solved"
+    return digest.hexdigest()[:16]
+
+
+class TestClassifierDigest:
+    def test_classes_match_the_reference_probe(self):
+        """The classes the separate time-expanded BFS gave before the
+        focal kernel and the verdict memo took over its probes; about 2400
+        classifications, all four classes among them."""
+        assert classifier_digest() == "f80686fb5448c8a3"
 
 
 class TestSplitConflict:
@@ -285,8 +324,7 @@ class TestMinCostWithin:
             cs = [vertex_constraint(0, rng.choice(cells), rng.randint(0, 4))
                   for _ in range(rng.randint(0, 3))]
             cap = rng.randint(1, 8)
-            table = ConstraintTable(0, cs)
-            got = earliest_arrival(grid, table, start, goal, cap,
-                                   compute_h(grid, goal))
+            table = ConstraintTable(0, [*cs, length_leq(0, cap)])
+            got = earliest_arrival(grid, table, start, goal, Distances(grid))
             want = brute_constrained_opt(grid, cs, 0, start, goal, {}, cap)
             assert got == want

@@ -169,12 +169,13 @@ class TestTreeInvariants:
             solver = TreeSolver(inst, cfg)
             solver.solve()
             for node in solver.tree_nodes:
-                if node.parent is None:
+                parent = solver.parent_of.get(node.seq)
+                if parent is None:
                     continue
                 pairs += 1
-                assert node.solb >= node.parent.solb - 1e-9
+                assert node.solb >= parent.solb - 1e-9
                 for i in range(len(node.lbs)):
-                    assert node.lbs[i] >= node.parent.lbs[i] - 1e-9
+                    assert node.lbs[i] >= parent.lbs[i] - 1e-9
         assert pairs >= 1000
 
     def test_soc_and_solb_sum_the_node(self, monkeypatch):
@@ -223,11 +224,12 @@ class TestTreeInvariants:
                                                              node.paths)
                 assert set(node.conflicts) == set(conflicts)
                 assert node.x_total == total
-                if node.parent is None:
+                parent = solver.parent_of.get(node.seq)
+                if parent is None:
                     continue
                 # the child extends exactly one agent's tuple and shares the
                 # others; a parent changed in place would share all of them
-                own, parent = node.constraints, node.parent.constraints
+                own, parent = node.constraints, parent.constraints
                 changed = [a for a in range(len(own)) if own[a] is not parent[a]]
                 assert len(changed) == 1
                 a = changed[0]

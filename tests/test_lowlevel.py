@@ -481,30 +481,28 @@ class TestKernelDigest:
         assert kernel_digest() == "34852928bc77c166"
 
 
+def probe(grid, constraints, start, goal, horizon, targets=None,
+          tables=None):
+    """earliest_arrival with the window capped by length_leq(0, horizon)."""
+    table = ConstraintTable(0, [*constraints, length_leq(0, horizon)],
+                            targets=targets or {})
+    return earliest_arrival(grid, table, start, goal,
+                            tables if tables is not None else Distances(grid))
+
+
 class TestEarliestArrival:
     def test_straight_line(self):
-        grid = open_grid(1, 5)
-        t = earliest_arrival(grid, ConstraintTable(0, []), (0, 0), (0, 4), 20,
-                             compute_h(grid, (0, 4)))
-        assert t == 4
+        assert probe(open_grid(1, 5), [], (0, 0), (0, 4), 20) == 4
 
     def test_constraints_delay_arrival(self):
-        grid = open_grid(1, 5)
-        table = ConstraintTable(0, [vertex_constraint(0, (0, 1), t)
-                                    for t in range(4)])
-        t = earliest_arrival(grid, table, (0, 0), (0, 4), 20,
-                             compute_h(grid, (0, 4)))
-        assert t == 7
+        cs = [vertex_constraint(0, (0, 1), t) for t in range(4)]
+        assert probe(open_grid(1, 5), cs, (0, 0), (0, 4), 20) == 7
 
     def test_start_equals_dest(self):
-        grid = open_grid(1, 5)
-        assert earliest_arrival(grid, ConstraintTable(0, []), (0, 1), (0, 1),
-                                5, compute_h(grid, (0, 1))) == 0
+        assert probe(open_grid(1, 5), [], (0, 1), (0, 1), 5) == 0
 
     def test_horizon_exhausted(self):
-        grid = open_grid(1, 5)
-        assert earliest_arrival(grid, ConstraintTable(0, []), (0, 0), (0, 4),
-                                3, compute_h(grid, (0, 4))) is None
+        assert probe(open_grid(1, 5), [], (0, 0), (0, 4), 3) is None
 
     @pytest.mark.parametrize("constraints,settled", [
         ([length_gt(0, 5), length_leq(0, 4)], 0),  # contradictory lengths
@@ -513,13 +511,13 @@ class TestEarliestArrival:
         ([length_leq(0, 3)], 4),                   # ends before h(start) = 4
     ])
     def test_hopeless_window_generates_no_state(self, constraints, settled):
-        """A window hold_time(goal) .. min(horizon, latest_goal) that is
-        empty, or that ends before h(start), is answered before the BFS:
-        the goal's table is settled no further than h(start)."""
+        """A window hold_time(goal) .. latest_goal that is empty, or that
+        ends before h(start), is answered before the search: the goal's
+        table is settled no further than h(start)."""
         grid = open_grid(1, 12)
-        table = ConstraintTable(0, constraints, targets={1: (0, 4)})
         h = compute_h(grid, (0, 4))
-        assert earliest_arrival(grid, table, (0, 0), (0, 4), 20, h) is None
+        assert probe(grid, constraints, (0, 0), (0, 4), 20, {1: (0, 4)},
+                     Distances(grid, {(0, 4): h})) is None
         assert max(d for d in h.dist if d is not None) == settled
 
 
@@ -647,9 +645,7 @@ class TestPrunedSweepsMatchBrute:
     @given(problem=constrained_problems(), horizon=st.integers(0, 14))
     def test_earliest_arrival(self, problem, horizon):
         grid, cells, start, goal, cs, targets = problem
-        table = ConstraintTable(0, cs, targets=targets)
-        got = earliest_arrival(grid, table, start, goal, horizon,
-                               compute_h(grid, goal))
+        got = probe(grid, cs, start, goal, horizon, targets)
         brute = brute_constrained_opt(grid, cs, 0, start, goal, targets,
                                       horizon)
         assert got == brute
@@ -715,10 +711,10 @@ class TestLazyTables:
     @given(problem=constrained_problems(), horizon=st.integers(0, 14))
     def test_earliest_arrival(self, problem, horizon):
         grid, cells, start, goal, cs, targets = problem
-        table = ConstraintTable(0, cs, targets=targets)
-        lazy, full = self.tables(grid, start, goal)
-        assert earliest_arrival(grid, table, start, goal, horizon, lazy) == \
-            earliest_arrival(grid, table, start, goal, horizon, full)
+        got = [probe(grid, cs, start, goal, horizon, targets,
+                     Distances(grid, {goal: h}))
+               for h in self.tables(grid, start, goal)]
+        assert got[0] == got[1]
 
     # each seed's solve builds tables around other agents' targets, so every
     # banned key is a walls table
