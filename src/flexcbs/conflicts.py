@@ -88,9 +88,11 @@ class Classifier:
     Classifier serves one Solver: its probe verdicts are kept for its life.
     """
 
-    def __init__(self, grid: GridMap, symmetry: bool = True,
-                 prioritize: bool = True, tables: Distances | None = None):
+    def __init__(self, grid: GridMap, targets: dict[int, Cell],
+                 symmetry: bool = True, prioritize: bool = True,
+                 tables: Distances | None = None):
         self.grid = grid
+        self.targets = targets
         self.symmetry = symmetry
         self.prioritize = prioritize
         self.tables = tables if tables is not None else Distances(grid)
@@ -100,30 +102,29 @@ class Classifier:
 
     def classify(self, conflict: Conflict, paths: list[Path],
                  constraints: list[tuple[Constraint, ...]],
-                 targets: dict[int, Cell]) -> Conflict:
+                 blocks: tuple[Constraint, ...]) -> Conflict:
         if self.symmetry:
-            tc = self._as_target(conflict, paths, targets)
+            tc = self._as_target(conflict, paths)
             if tc is not None:
                 return tc
         if self.prioritize:
-            return self._cardinality(conflict, paths, constraints, targets)
+            return self._cardinality(conflict, paths, constraints, blocks)
         return conflict
 
-    def _as_target(self, c: Conflict, paths: list[Path],
-                   targets: dict[int, Cell]) -> Conflict | None:
+    def _as_target(self, c: Conflict, paths: list[Path]) -> Conflict | None:
         if c.is_edge:
             return None
         for holder in (c.a_i, c.a_j):
-            if targets[holder] == c.v and paths[holder].cost <= c.t:
+            if self.targets[holder] == c.v and paths[holder].cost <= c.t:
                 return replace(c, cls=ConflictClass.TARGET, target_agent=holder)
         return None
 
     def _cardinality(self, c: Conflict, paths: list[Path],
                      constraints: list[tuple[Constraint, ...]],
-                     targets: dict[int, Cell]) -> Conflict:
+                     blocks: tuple[Constraint, ...]) -> Conflict:
         blocked = 0
         for agent in (c.a_i, c.a_j):
-            if self._forced(agent, c, paths, constraints, targets):
+            if self._forced(agent, c, paths, constraints, blocks):
                 blocked += 1
         cls = (ConflictClass.CARDINAL if blocked == 2 else
                ConflictClass.SEMI_CARDINAL if blocked == 1 else
@@ -132,7 +133,7 @@ class Classifier:
 
     def _forced(self, agent: int, c: Conflict, paths: list[Path],
                 constraints: list[tuple[Constraint, ...]],
-                targets: dict[int, Cell]) -> bool:
+                blocks: tuple[Constraint, ...]) -> bool:
         """True if no path of the current cost avoids the conflict point:
         with its side of the split added, the agent cannot reach its target
         and park there by its current cost.
@@ -150,9 +151,9 @@ class Classifier:
             return known[1]
         ctable = ConstraintTable(
             agent, [*own, extra, length_leq(agent, path.cost)],
-            targets=targets)
+            targets=self.targets)
         forced = earliest_arrival(self.grid, ctable, path.cells[0],
-                                  targets[agent], self.tables) is None
+                                  self.targets[agent], self.tables) is None
         self._verdicts[key] = (own, forced)
         return forced
 

@@ -56,6 +56,9 @@ class SolverConfig:
 class CTNode:
     # one immutable tuple per agent; children share every slot they keep
     constraints: list[tuple[Constraint, ...]]
+    # every LENGTH_LEQ among them, each barring the other agents from its
+    # agent's target; a child shares it unless its split adds one
+    blocks: tuple[Constraint, ...]
     paths: list[Path]
     lbs: list[float]
     conflicts: list[Conflict]
@@ -197,7 +200,8 @@ class Solver:
         self.tables = Distances(self.grid, {
             a.target: compute_h(self.grid, a.target, a.start, config.w)
             for a in instance.agents})
-        self.classifier = Classifier(self.grid, symmetry=config.symmetry,
+        self.classifier = Classifier(self.grid, self.targets,
+                                     symmetry=config.symmetry,
                                      prioritize=config.prioritize,
                                      tables=self.tables)
         # the paths of the CT node being worked on, but for the agent being
@@ -214,15 +218,6 @@ class Solver:
     def _next_seq(self) -> int:
         self._seq += 1
         return self._seq
-
-    def _relevant_constraints(self, constraints: list[tuple[Constraint, ...]],
-                              agent: int) -> list[Constraint]:
-        rel = list(constraints[agent])
-        for other, cs in enumerate(constraints):
-            if other == agent:
-                continue
-            rel.extend(c for c in cs if c.kind is ConstraintKind.LENGTH_LEQ)
-        return rel
 
     def _sync(self, paths: list[Path], skip: int):
         """Make self.occ index paths[m] for every agent m but skip.
@@ -278,8 +273,9 @@ class Solver:
             paths.append(result.path)
             lbs.append(result.lb)
         conflicts.sort(key=BY_PAIR)
-        root = CTNode(constraints=constraints, paths=paths, lbs=lbs,
-                      conflicts=conflicts, depth=0, seq=self._next_seq())
+        root = CTNode(constraints=constraints, blocks=(), paths=paths,
+                      lbs=lbs, conflicts=conflicts, depth=0,
+                      seq=self._next_seq())
         self._set_fhat(root)
         return root
 
@@ -290,7 +286,7 @@ class Solver:
         if not (self.config.prioritize or self.config.symmetry):
             return ordered[0]
         classified = [self.classifier.classify(c, node.paths, node.constraints,
-                                               self.targets)
+                                               node.blocks)
                       for c in ordered[:MAX_CLASSIFIED_CONFLICTS]]
         return pick_conflict(classified)
 
@@ -341,17 +337,20 @@ class Solver:
         metrics = self.metrics
         constraints = list(parent.constraints)
         constraints[agent] = (*constraints[agent], constraint)
+        blocks = parent.blocks
+        if constraint.kind is ConstraintKind.LENGTH_LEQ:
+            blocks = (*blocks, constraint)
         paths = list(parent.paths)
         lbs = list(parent.lbs)
         conflicts = parent.conflicts  # replaced, never changed, on a replan
         replans = self._replan_set(parent.paths, agent, constraint)
         for r in sorted(replans):
-            rel = self._relevant_constraints(constraints, r)
-            ctable = ConstraintTable(r, rel, targets=self.targets)
+            ctable = ConstraintTable(r, [*constraints[r], *blocks],
+                                     targets=self.targets)
             if ctable.infeasible:
                 return None
             self._sync(paths, skip=r)
-            delay_sum = estimate_delays(rel, r, parent.paths[r].cost)
+            delay_sum = estimate_delays(constraints[r], r, parent.paths[r].cost)
             fc = self._compute_flex(lbs, paths, r, parent, delay_sum, frontier)
             delta = fc.delta if fc is not None else 0.0
             result = self._plan(r, ctable, self.occ, delta=delta,
@@ -366,8 +365,8 @@ class Solver:
             # incremental conflict update for the replanned agent
             conflicts = [c for c in conflicts if r not in (c.a_i, c.a_j)]
             conflicts.extend(self.occ.conflicts_with(result.path))
-        child = CTNode(constraints=constraints, paths=paths, lbs=lbs,
-                       conflicts=conflicts, depth=parent.depth + 1,
+        child = CTNode(constraints=constraints, blocks=blocks, paths=paths,
+                       lbs=lbs, conflicts=conflicts, depth=parent.depth + 1,
                        seq=self._next_seq())
         # instrumentation
         self._ehat_sum += max(0.0, child.soc - parent.soc)
@@ -392,11 +391,11 @@ class Solver:
             # paths must still be locally bounded against them
             if child.soc > self.config.w * node.solb + EPS:
                 continue
-            # adopt the child's paths but keep the parent's constraints and
-            # lower bounds; the lists are shared, as nothing changes them
+            # adopt the child's paths but keep the parent's constraints,
+            # blocks and lower bounds; all are shared, as nothing changes them
             adopted = CTNode(
-                constraints=node.constraints, paths=child.paths,
-                lbs=node.lbs, conflicts=child.conflicts,
+                constraints=node.constraints, blocks=node.blocks,
+                paths=child.paths, lbs=node.lbs, conflicts=child.conflicts,
                 depth=node.depth, seq=self._next_seq())
             self._set_fhat(adopted)
             return adopted

@@ -149,16 +149,16 @@ class TestFindCorridor:
 
 
 class TestClassifier:
-    def make(self, grid):
-        return Classifier(grid, symmetry=True, prioritize=True)
+    def make(self, grid, targets):
+        return Classifier(grid, targets, symmetry=True, prioritize=True)
 
     def test_target_conflict(self):
         grid = open_grid(1, 6)
         parked = Path(0, ((0, 1), (0, 2)))
         passer = Path(1, ((0, 5), (0, 4), (0, 3), (0, 2), (0, 1)))
         conflicts, _, _ = detect_conflicts(grid, [parked, passer])
-        c = self.make(grid).classify(conflicts[0], [parked, passer],
-                                     [[], []], {0: (0, 2), 1: (0, 1)})
+        c = self.make(grid, {0: (0, 2), 1: (0, 1)}).classify(
+            conflicts[0], [parked, passer], [(), ()], ())
         assert c.cls is ConflictClass.TARGET
         assert c.target_agent == 0
 
@@ -167,8 +167,8 @@ class TestClassifier:
         p0 = Path(0, ((1, 0), (1, 1), (1, 2)))
         p1 = Path(1, ((0, 1), (1, 1), (2, 1)))
         conflicts, _, _ = detect_conflicts(grid, [p0, p1])
-        c = self.make(grid).classify(conflicts[0], [p0, p1], [[], []],
-                                     {0: (1, 2), 1: (2, 1)})
+        c = self.make(grid, {0: (1, 2), 1: (2, 1)}).classify(
+            conflicts[0], [p0, p1], [(), ()], ())
         assert c.cls is ConflictClass.CARDINAL
 
     def test_semi_cardinal_conflict(self):
@@ -176,8 +176,8 @@ class TestClassifier:
         p0 = Path(0, ((0, 2), (0, 1), (0, 0)))  # forced through (0,1) at t=1
         p1 = Path(1, ((0, 0), (0, 1), (1, 1), (1, 2)))  # can reroute via row 1
         conflicts, _, _ = detect_conflicts(grid, [p0, p1])
-        c = self.make(grid).classify(conflicts[0], [p0, p1], [[], []],
-                                     {0: (0, 0), 1: (1, 2)})
+        c = self.make(grid, {0: (0, 0), 1: (1, 2)}).classify(
+            conflicts[0], [p0, p1], [(), ()], ())
         assert c.cls is ConflictClass.SEMI_CARDINAL
 
     def test_non_cardinal_conflict(self):
@@ -186,8 +186,8 @@ class TestClassifier:
         p1 = Path(1, ((0, 2), (0, 1), (1, 1), (1, 0)))
         conflicts, _, _ = detect_conflicts(grid, [p0, p1])
         target = next(c for c in conflicts if c.v == (1, 1))
-        c = self.make(grid).classify(target, [p0, p1], [[], []],
-                                     {0: (1, 2), 1: (1, 0)})
+        c = self.make(grid, {0: (1, 2), 1: (1, 0)}).classify(
+            target, [p0, p1], [(), ()], ())
         assert c.cls is ConflictClass.NON_CARDINAL
 
     def test_toggles_disable_classification(self):
@@ -195,9 +195,9 @@ class TestClassifier:
         parked = Path(0, ((0, 1), (0, 2)))
         passer = Path(1, ((0, 5), (0, 4), (0, 3), (0, 2), (0, 1)))
         conflicts, _, _ = detect_conflicts(grid, [parked, passer])
-        plain = Classifier(grid, symmetry=False, prioritize=False)
-        c = plain.classify(conflicts[0], [parked, passer], [[], []],
-                           {0: (0, 2), 1: (0, 1)})
+        plain = Classifier(grid, {0: (0, 2), 1: (0, 1)}, symmetry=False,
+                           prioritize=False)
+        c = plain.classify(conflicts[0], [parked, passer], [(), ()], ())
         assert c.cls is ConflictClass.UNCLASSIFIED
 
 
@@ -212,16 +212,17 @@ class TestClassifier:
         p0 = Path(0, ((0, 0), (0, 1), (1, 1)))
         p1 = Path(1, ((0, 2), (0, 1), (0, 0)))
         targets = {0: (1, 1), 1: (0, 0), 2: (1, 0)}
-        constraints = [(), (), (length_leq(2, 0),)]
+        blocks = (length_leq(2, 0),)
+        constraints = [(), (), blocks]
         c = Conflict(0, 1, (0, 1), 1)
         replan = ConstraintTable(0, [split_constraint_for(0, c),
-                                     length_leq(0, 2), *constraints[2]],
+                                     length_leq(0, 2), *blocks],
                                  targets=targets)
         assert earliest_arrival(grid, replan, (0, 0), (1, 1),
                                 Distances(grid)) is None
-        classifier = Classifier(grid)
+        classifier = Classifier(grid, targets)
         assert classifier._forced(0, c, [p0, p1, Path(2, ((1, 0),))],
-                                  constraints, targets)
+                                  constraints, blocks)
 
 
 def classifier_digest(solves: int = 10, seed: int = 5) -> str:

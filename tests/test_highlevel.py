@@ -125,8 +125,8 @@ class TestCorridorConflict:
         classes = []
         classify = Classifier.classify
 
-        def spy(self, conflict, paths, constraints, targets):
-            result = classify(self, conflict, paths, constraints, targets)
+        def spy(self, conflict, paths, constraints, blocks):
+            result = classify(self, conflict, paths, constraints, blocks)
             classes.append(result.cls)
             return result
 
