@@ -3,7 +3,9 @@
 Target conflicts split into a LENGTH_GT/LENGTH_LEQ pair on the agent whose
 target is contested; other vertex/edge conflicts split into the usual
 symmetric pair. Cardinality is checked with single-agent probes that run
-the low level's focal kernel (`earliest_arrival`) rather than MDDs.
+the low level's focal kernel (`earliest_arrival`) rather than MDDs, under
+the constraints the agent's replan would read: its own and the CT node's
+LENGTH_LEQ target blocks.
 """
 
 from __future__ import annotations
@@ -79,13 +81,15 @@ def find_corridor(grid: GridMap, v: Cell) -> Corridor | None:
 
 
 class Classifier:
-    """Assigns priority classes; needs node context (paths, constraints).
+    """Assigns priority classes; needs node context (paths, constraints,
+    blocks).
 
-    With `symmetry` a conflict at a finished agent's target is a TARGET
-    conflict; otherwise, with `prioritize`, cardinality probes rank it. The
-    probes read the table to the agent's target from `tables`, the grid's
-    `Distances` cache, shared with the owner (a fresh one if None). One
-    Classifier serves one Solver: its probe verdicts are kept for its life.
+    With `symmetry` a conflict at a finished agent's target (from
+    `targets`, agent -> cell) is a TARGET conflict; otherwise, with
+    `prioritize`, cardinality probes rank it. The probes read the table to
+    the agent's target from `tables`, the grid's `Distances` cache, shared
+    with the owner (a fresh one if None). One Classifier serves one Solver:
+    its probe verdicts are kept for its life.
     """
 
     def __init__(self, grid: GridMap, targets: dict[int, Cell],
@@ -96,8 +100,9 @@ class Classifier:
         self.symmetry = symmetry
         self.prioritize = prioritize
         self.tables = tables if tables is not None else Distances(grid)
-        # (agent, id of its constraint tuple, split constraint, cost) ->
-        # (that tuple, verdict); holding the tuple keeps its id from reuse
+        # (agent, id of its constraint tuple, the blocks that bind, split
+        # constraint, cost) -> (that tuple, verdict); holding the tuple
+        # keeps its id from reuse
         self._verdicts: dict[tuple, tuple[tuple[Constraint, ...], bool]] = {}
 
     def classify(self, conflict: Conflict, paths: list[Path],
@@ -135,22 +140,28 @@ class Classifier:
                 constraints: list[tuple[Constraint, ...]],
                 blocks: tuple[Constraint, ...]) -> bool:
         """True if no path of the current cost avoids the conflict point:
-        with its side of the split added, the agent cannot reach its target
-        and park there by its current cost.
+        with its side of the split added to the constraints its replan
+        would read, the agent cannot reach its target and park there by its
+        current cost.
 
-        The probe reads the agent's own constraints only, so its verdict is
-        a function of the memo key. Children share unchanged constraint
-        tuples by reference, so the key holds the tuple's id rather than
-        its hash, which would cost about as much as a probe."""
+        Of the node's blocks only another agent's block with t <= cost can
+        bind in that window: targets are distinct, so a later one never
+        bars a cell the agent holds by then. The probe reads those blocks
+        and the agent's own tuple, so its verdict is a function of the memo
+        key. Children share unchanged constraint tuples by reference, so
+        the key holds the own tuple's id rather than its hash, which would
+        cost about as much as a probe."""
         own = constraints[agent]
         extra = split_constraint_for(agent, c)
         path = paths[agent]
-        key = (agent, id(own), extra, path.cost)
+        cost = path.cost
+        binding = tuple(b for b in blocks if b.agent != agent and b.t <= cost)
+        key = (agent, id(own), binding, extra, cost)
         known = self._verdicts.get(key)
         if known is not None:
             return known[1]
         ctable = ConstraintTable(
-            agent, [*own, extra, length_leq(agent, path.cost)],
+            agent, [*own, *binding, extra, length_leq(agent, cost)],
             targets=self.targets)
         forced = earliest_arrival(self.grid, ctable, path.cells[0],
                                   self.targets[agent], self.tables) is None

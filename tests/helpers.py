@@ -242,12 +242,14 @@ class TreeSolver(Solver):
     """A Solver whose make_root and make_child keep every node they return
     in `tree_nodes`, in generation order, and map each child's seq to the
     parent make_child was given in `parent_of`. Bypass-adopted nodes are
-    not among the kept nodes, but may be a kept node's parent."""
+    not among the kept nodes, but may be a kept node's parent; `adopted`
+    lists each as (the node it replaces, the adopted node)."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.tree_nodes: list[CTNode] = []
         self.parent_of: dict[int, CTNode] = {}
+        self.adopted: list[tuple[CTNode, CTNode]] = []
 
     def make_root(self) -> CTNode | None:
         return self._keep(super().make_root())
@@ -257,6 +259,12 @@ class TreeSolver(Solver):
         if child is not None:
             self.parent_of[child.seq] = parent
         return child
+
+    def _try_bypass(self, node: CTNode, *args) -> CTNode | None:
+        adopted = super()._try_bypass(node, *args)
+        if adopted is not None:
+            self.adopted.append((node, adopted))
+        return adopted
 
     def _keep(self, node: CTNode | None) -> CTNode | None:
         if node is not None:

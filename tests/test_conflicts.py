@@ -1,7 +1,6 @@
 import hashlib
 import random
 
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -9,14 +8,15 @@ from flexcbs.conflicts import (Classifier, Conflict, ConflictClass,
                                detect_conflicts, find_corridor, pick_conflict,
                                split_conflict, split_constraint_for)
 from flexcbs.constraints import (ConstraintKind, ConstraintTable, Path,
-                                 length_leq, vertex_constraint)
+                                 edge_constraint, length_gt, length_leq,
+                                 vertex_constraint)
 from flexcbs.flex import FlexMode
 from flexcbs.highlevel import Solver, SolverConfig
 from flexcbs.lowlevel import Distances, Occupancy, earliest_arrival
 from flexcbs.map_io import GridMap
 from helpers import (brute_constrained_opt, brute_pair_conflicts,
                      grid_from_rows, open_grid, random_grid, random_instance,
-                     random_walk_path)
+                     random_walk_path, small_grids)
 
 
 class TestDetectConflicts:
@@ -200,10 +200,6 @@ class TestClassifier:
         c = plain.classify(conflicts[0], [parked, passer], [(), ()], ())
         assert c.cls is ConflictClass.UNCLASSIFIED
 
-
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="the probe's table lacks other agents' "
-                       "LENGTH_LEQ target blocks")
     def test_forced_sees_other_agents_target_blocks(self):
         # agent 0 must reach (1,1) by t = 2 without (0,1) at t = 1; the
         # only other way runs through (1,0), agent 2's target, which
@@ -252,10 +248,11 @@ def classifier_digest(solves: int = 10, seed: int = 5) -> str:
 
 class TestClassifierDigest:
     def test_classes_match_the_reference_probe(self):
-        """The classes the separate time-expanded BFS gave before the
-        focal kernel and the verdict memo took over its probes; about 2400
-        classifications, all four classes among them."""
-        assert classifier_digest() == "f80686fb5448c8a3"
+        """The classes the probes give under the agent's own constraints
+        plus the node's binding blocks, the table its replan reads; about
+        2000 classifications, all four classes among them. Before the
+        probes read the blocks the digest was f80686fb5448c8a3."""
+        assert classifier_digest() == "4021a024e2e9d845"
 
 
 class TestSplitConflict:
@@ -309,6 +306,63 @@ class TestPickConflict:
         assert pick_conflict([late, early]) is early
         low_pair = Conflict(0, 5, (0, 0), 1, cls=ConflictClass.CARDINAL)
         assert pick_conflict([early, low_pair]) is low_pair
+
+
+@st.composite
+def probe_cases(draw):
+    """A cardinality probe of agent 0 on a small random map: its start, goal
+    and cost, a conflict on its side, 0-3 own vertex/edge/LENGTH_GT
+    constraints and LENGTH_LEQ blocks of 0-2 of agents 1 and 2, whose
+    targets differ from agent 0's goal."""
+    grid = draw(small_grids(4, 4))
+    cells = grid.passable_cells()
+    assume(len(cells) >= 3)
+    goal, target1, target2 = draw(st.permutations(cells))[:3]
+    targets = {0: goal, 1: target1, 2: target2}
+    start = draw(st.sampled_from(cells))
+    cell, time = st.sampled_from(cells), st.integers(0, 5)
+    own = []
+    for kind in draw(st.lists(st.sampled_from("veg"), max_size=3)):
+        if kind == "v":
+            own.append(vertex_constraint(0, draw(cell), draw(time)))
+        elif kind == "e":
+            u = draw(cell)
+            if grid.neighbors(u):
+                v = draw(st.sampled_from(grid.neighbors(u)))
+                own.append(edge_constraint(0, u, v, draw(time)))
+        else:
+            own.append(length_gt(0, draw(time)))
+    blocks = tuple(length_leq(j, draw(time)) for j in draw(
+        st.lists(st.sampled_from([1, 2]), max_size=2, unique=True)))
+    v = draw(cell)
+    u = (draw(st.sampled_from(grid.neighbors(v)))
+         if grid.neighbors(v) and draw(st.booleans()) else None)
+    conflict = Conflict(0, 1, v, draw(st.integers(1, 5)), u=u)
+    cost = draw(st.integers(0, 6))
+    return grid, targets, start, tuple(own), blocks, conflict, cost
+
+
+class TestForcedMatchesOracle:
+    """The cardinality probe against the independent oracle, under the
+    constraints the agent's replan reads: its own plus the node's blocks."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=probe_cases())
+    def test_forced_iff_no_arrival_by_the_cost(self, case):
+        grid, targets, start, own, blocks, c, cost = case
+        # the probe reads only the path's start and cost
+        paths = [Path(0, (start,) * (cost + 1))]
+        constraints = [own, (), ()]
+        split = split_constraint_for(0, c)
+        want = brute_constrained_opt(
+            grid, [*own, *blocks, split, length_leq(0, cost)], 0, start,
+            targets[0], targets, cost) is None
+        classifier = Classifier(grid, targets)
+        forced = classifier._forced(0, c, paths, constraints, blocks)
+        assert forced == want
+        # blocks only take paths away: forced without them stays forced
+        if classifier._forced(0, c, paths, constraints, ()):
+            assert forced
 
 
 class TestMinCostWithin:

@@ -1,12 +1,13 @@
 import inspect
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from flexcbs import flex as flexmod
 from flexcbs.conflicts import Classifier, detect_conflicts
-from flexcbs.constraints import ConflictClass
+from flexcbs.constraints import ConflictClass, ConstraintKind
 from flexcbs.flex import FlexMode
 from flexcbs.highlevel import Solver, SolverConfig, solve
 from flexcbs.lowlevel import Occupancy
@@ -178,33 +179,63 @@ class TestTreeInvariants:
                     assert node.lbs[i] >= parent.lbs[i] - 1e-9
         assert pairs >= 1000
 
-    def test_soc_and_solb_sum_the_node(self, monkeypatch):
+    def test_soc_and_solb_sum_the_node(self):
         """Every node, the root, children and bypass-adopted ones alike,
         carries the SOC and SOLB of its own paths and lower bounds, and the
         conflict count of its own conflict list."""
-        adopted = []
-        bypass = Solver._try_bypass
-
-        def spy(self, *args):
-            node = bypass(self, *args)
-            if node is not None:
-                adopted.append(node)
-            return node
-
-        monkeypatch.setattr(Solver, "_try_bypass", spy)
         rng = random.Random(25)
         generated = []  # the roots and children
+        adopted = []
         for _ in range(6):
             inst = random_instance(rng, 5, 5, 4)
             solver = TreeSolver(inst, SolverConfig(
                 w=1.05, flex_mode=FlexMode.MFD, time_limit=10.0))
             assert solver.solve().outcome == "solved"
             generated += solver.tree_nodes
+            adopted += [node for _replaced, node in solver.adopted]
         for node in generated + adopted:
             assert node.soc == sum(p.cost for p in node.paths)
             assert node.solb == sum(node.lbs)
             assert node.x_total == len(node.conflicts)
         assert len(generated) >= 500 and len(adopted) >= 10
+
+    def test_blocks_are_the_nodes_length_leq_constraints(self):
+        """Every node's `blocks` holds exactly the LENGTH_LEQ constraints of
+        its constraint tuples. A child whose split added none shares its
+        parent's tuple, one whose split added one extends it, and a
+        bypass-adopted node shares the tuple of the node it replaces."""
+        rng = random.Random(25)
+        nodes = blocked = shared = extended = adoptions = 0
+        for _ in range(6):
+            inst = random_instance(rng, 5, 5, 4)
+            solver = TreeSolver(inst, SolverConfig(
+                w=1.05, flex_mode=FlexMode.MFD, time_limit=10.0))
+            assert solver.solve().outcome == "solved"
+            adopted = [node for _replaced, node in solver.adopted]
+            for node in solver.tree_nodes + adopted:
+                nodes += 1
+                blocked += bool(node.blocks)
+                assert Counter(node.blocks) == Counter(
+                    c for cs in node.constraints for c in cs
+                    if c.kind is ConstraintKind.LENGTH_LEQ)
+                parent = solver.parent_of.get(node.seq)
+                if parent is None:
+                    continue
+                added = next(own[-1] for own, before
+                             in zip(node.constraints, parent.constraints)
+                             if own is not before)
+                if added.kind is ConstraintKind.LENGTH_LEQ:
+                    extended += 1
+                    assert node.blocks == (*parent.blocks, added)
+                else:
+                    shared += 1
+                    assert node.blocks is parent.blocks
+            for replaced, node in solver.adopted:
+                adoptions += 1
+                assert node.blocks is replaced.blocks
+                assert node.constraints is replaced.constraints
+        assert nodes >= 500 and blocked >= 100 and shared >= 100
+        assert extended >= 10 and adoptions >= 10
 
     @pytest.mark.parametrize("mode", ALL_MODES)
     @pytest.mark.parametrize("low_level", LOW_LEVELS)
