@@ -4,8 +4,7 @@ Target conflicts split into a LENGTH_GT/LENGTH_LEQ pair on the agent whose
 target is contested; other vertex/edge conflicts split into the usual
 symmetric pair. Cardinality is checked with single-agent probes that run
 the low level's focal kernel (`earliest_arrival`) rather than MDDs, under
-the constraints the agent's replan would read: its own and the CT node's
-LENGTH_LEQ target blocks.
+the agent's own constraints and the CT node's LENGTH_LEQ target blocks.
 """
 
 from __future__ import annotations
@@ -81,15 +80,14 @@ def find_corridor(grid: GridMap, v: Cell) -> Corridor | None:
 
 
 class Classifier:
-    """Assigns priority classes; needs node context (paths, constraints,
-    blocks).
+    """Assigns priority classes; needs the agents' `targets` and node
+    context (paths, constraints, blocks).
 
-    With `symmetry` a conflict at a finished agent's target (from
-    `targets`, agent -> cell) is a TARGET conflict; otherwise, with
-    `prioritize`, cardinality probes rank it. The probes read the table to
-    the agent's target from `tables`, the grid's `Distances` cache, shared
-    with the owner (a fresh one if None). One Classifier serves one Solver:
-    its probe verdicts are kept for its life.
+    With `symmetry` a conflict at a finished agent's target is a TARGET
+    conflict; otherwise, with `prioritize`, cardinality probes rank it. The
+    probes read the table to the agent's target from `tables`, the grid's
+    `Distances` cache, shared with the owner (a fresh one if None). One
+    Classifier serves one Solver: its probe verdicts are kept for its life.
     """
 
     def __init__(self, grid: GridMap, targets: dict[int, Cell],
@@ -100,9 +98,8 @@ class Classifier:
         self.symmetry = symmetry
         self.prioritize = prioritize
         self.tables = tables if tables is not None else Distances(grid)
-        # (agent, id of its constraint tuple, the blocks that bind, split
-        # constraint, cost) -> (that tuple, verdict); holding the tuple
-        # keeps its id from reuse
+        # (agent, id of its constraint tuple, binding blocks, split, cost)
+        # -> (that tuple, verdict); holding the tuple keeps its id from reuse
         self._verdicts: dict[tuple, tuple[tuple[Constraint, ...], bool]] = {}
 
     def classify(self, conflict: Conflict, paths: list[Path],
@@ -127,10 +124,8 @@ class Classifier:
     def _cardinality(self, c: Conflict, paths: list[Path],
                      constraints: list[tuple[Constraint, ...]],
                      blocks: tuple[Constraint, ...]) -> Conflict:
-        blocked = 0
-        for agent in (c.a_i, c.a_j):
-            if self._forced(agent, c, paths, constraints, blocks):
-                blocked += 1
+        blocked = sum(self._forced(agent, c, paths, constraints, blocks)
+                      for agent in (c.a_i, c.a_j))
         cls = (ConflictClass.CARDINAL if blocked == 2 else
                ConflictClass.SEMI_CARDINAL if blocked == 1 else
                ConflictClass.NON_CARDINAL)
@@ -141,20 +136,16 @@ class Classifier:
                 blocks: tuple[Constraint, ...]) -> bool:
         """True if no path of the current cost avoids the conflict point:
         with its side of the split added to the constraints its replan
-        would read, the agent cannot reach its target and park there by its
-        current cost.
+        reads, the agent cannot reach its target and park there by then.
 
-        Of the node's blocks only another agent's block with t <= cost can
-        bind in that window: targets are distinct, so a later one never
-        bars a cell the agent holds by then. The probe reads those blocks
-        and the agent's own tuple, so its verdict is a function of the memo
-        key. Children share unchanged constraint tuples by reference, so
-        the key holds the own tuple's id rather than its hash, which would
-        cost about as much as a probe."""
+        Of the node's blocks only other agents' blocks with t <= cost bind
+        by then (targets are distinct), so the probe reads just those and
+        its verdict is a function of the memo key. Children share unchanged
+        constraint tuples by reference, so the key holds the own tuple's id
+        rather than its hash, which would cost about as much as a probe."""
         own = constraints[agent]
         extra = split_constraint_for(agent, c)
-        path = paths[agent]
-        cost = path.cost
+        start, cost = paths[agent].cells[0], paths[agent].cost
         binding = tuple(b for b in blocks if b.agent != agent and b.t <= cost)
         key = (agent, id(own), binding, extra, cost)
         known = self._verdicts.get(key)
@@ -163,7 +154,7 @@ class Classifier:
         ctable = ConstraintTable(
             agent, [*own, *binding, extra, length_leq(agent, cost)],
             targets=self.targets)
-        forced = earliest_arrival(self.grid, ctable, path.cells[0],
+        forced = earliest_arrival(self.grid, ctable, start,
                                   self.targets[agent], self.tables) is None
         self._verdicts[key] = (own, forced)
         return forced

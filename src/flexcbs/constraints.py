@@ -190,19 +190,16 @@ def estimate_delays(constraints: list[Constraint], agent: int,
                     parent_cost: int) -> int:
     """Total rule-based delay estimate over the agent's constraints.
 
-    Vertex/edge constraints are assumed satisfiable with one wait (delay 1).
-    Blocks induced on other agents by a LENGTH_LEQ are free; a LENGTH_GT on the
-    replanned agent forces a later arrival. Each delay is clamped at 0.
+    Vertex/edge constraints are assumed satisfiable with one wait (delay 1);
+    a LENGTH_GT forces a later arrival, clamped at 0; a LENGTH_LEQ is free.
+    Other agents' constraints, such as their target blocks, add nothing.
     """
     total = 0
     for c in constraints:
-        if c.agent != agent and c.kind is not ConstraintKind.LENGTH_LEQ:
+        if c.agent != agent:
             continue
         if c.kind in (ConstraintKind.VERTEX, ConstraintKind.EDGE):
-            d = 1
-        elif c.kind is ConstraintKind.LENGTH_GT and c.agent == agent:
-            d = max(0, c.t - parent_cost)
-        else:  # LENGTH_LEQ (own or induced block): assumed free
-            d = 0
-        total += d
+            total += 1
+        elif c.kind is ConstraintKind.LENGTH_GT:
+            total += max(0, c.t - parent_cost)
     return total

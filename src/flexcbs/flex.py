@@ -50,7 +50,7 @@ def gfd_flex(delta_max: float) -> FlexComputation:
 
 def cfd_flex(delta_max: float, x_i: int, x_total: int) -> FlexComputation:
     if delta_max < 0:
-        return FlexComputation(delta_max, 1.0, 0.0, delta_max, "gfd")
+        return gfd_flex(delta_max)
     rho = conflict_share(x_i, x_total)
     return FlexComputation(delta_max, rho, 0.0, rho * delta_max, "cfd")
 
@@ -58,7 +58,7 @@ def cfd_flex(delta_max: float, x_i: int, x_total: int) -> FlexComputation:
 def dfd_flex(delta_max: float, x_i: int, x_total: int,
              delay_sum: float) -> FlexComputation:
     if delta_max < 0:
-        return FlexComputation(delta_max, 1.0, 0.0, delta_max, "gfd")
+        return gfd_flex(delta_max)
     rho = conflict_share(x_i, x_total)
     delta_d = max(0.0, min(delta_max, delay_sum))
     delta = delta_d + rho * (delta_max - delta_d)
@@ -77,7 +77,7 @@ def mfd_flex(w: float, lb_i_parent: float, delta_max: float, x_i: int,
     of lb_j over j != i in that minimum-SOLB node.
     """
     if delta_max < 0:
-        return FlexComputation(delta_max, 1.0, 0.0, delta_max, "gfd")
+        return gfd_flex(delta_max)
 
     def globally_bounded(delta: float) -> bool:
         return w * lb_i_parent + delta + sum_cost_other <= w * lb + 1e-9

@@ -56,8 +56,8 @@ class SolverConfig:
 class CTNode:
     # one immutable tuple per agent; children share every slot they keep
     constraints: list[tuple[Constraint, ...]]
-    # every LENGTH_LEQ among them, each barring the other agents from its
-    # agent's target; a child shares it unless its split adds one
+    # every LENGTH_LEQ among them, which bars the other agents from its
+    # agent's target; shared with the parent unless the split adds one
     blocks: tuple[Constraint, ...]
     paths: list[Path]
     lbs: list[float]
@@ -273,9 +273,8 @@ class Solver:
             paths.append(result.path)
             lbs.append(result.lb)
         conflicts.sort(key=BY_PAIR)
-        root = CTNode(constraints=constraints, blocks=(), paths=paths,
-                      lbs=lbs, conflicts=conflicts, depth=0,
-                      seq=self._next_seq())
+        root = CTNode(constraints=constraints, blocks=(), paths=paths, lbs=lbs,
+                      conflicts=conflicts, depth=0, seq=self._next_seq())
         self._set_fhat(root)
         return root
 
@@ -337,9 +336,8 @@ class Solver:
         metrics = self.metrics
         constraints = list(parent.constraints)
         constraints[agent] = (*constraints[agent], constraint)
-        blocks = parent.blocks
-        if constraint.kind is ConstraintKind.LENGTH_LEQ:
-            blocks = (*blocks, constraint)
+        leq = constraint.kind is ConstraintKind.LENGTH_LEQ
+        blocks = (*parent.blocks, constraint) if leq else parent.blocks
         paths = list(parent.paths)
         lbs = list(parent.lbs)
         conflicts = parent.conflicts  # replaced, never changed, on a replan
@@ -350,7 +348,8 @@ class Solver:
             if ctable.infeasible:
                 return None
             self._sync(paths, skip=r)
-            delay_sum = estimate_delays(constraints[r], r, parent.paths[r].cost)
+            delay_sum = estimate_delays(constraints[r], r,
+                                        parent.paths[r].cost)
             fc = self._compute_flex(lbs, paths, r, parent, delay_sum, frontier)
             delta = fc.delta if fc is not None else 0.0
             result = self._plan(r, ctable, self.occ, delta=delta,

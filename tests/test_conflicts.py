@@ -250,8 +250,7 @@ class TestClassifierDigest:
     def test_classes_match_the_reference_probe(self):
         """The classes the probes give under the agent's own constraints
         plus the node's binding blocks, the table its replan reads; about
-        2000 classifications, all four classes among them. Before the
-        probes read the blocks the digest was f80686fb5448c8a3."""
+        2000 classifications, all four classes among them."""
         assert classifier_digest() == "4021a024e2e9d845"
 
 
