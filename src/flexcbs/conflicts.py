@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .constraints import (BY_PAIR, Conflict, ConflictClass, Constraint,
-                          ConstraintTable, Path, edge_constraint, length_gt,
-                          length_leq, vertex_constraint)
-from .lowlevel import Distances, Occupancy, earliest_arrival
+from .constraints import (BY_PAIR, Conflict, ConflictClass, Constraint, Path,
+                          edge_constraint, length_gt, length_leq,
+                          vertex_constraint)
+from .lowlevel import ConstraintTable, Distances, Occupancy, earliest_arrival
 from .map_io import Cell, GridMap
 
 

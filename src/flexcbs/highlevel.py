@@ -19,11 +19,11 @@ from .conflicts import (Classifier, Conflict, ConflictClass, pick_conflict,
                         split_conflict)
 # No solve calls it; kept because the benchmark's tracer wraps this name.
 from .conflicts import detect_conflicts  # noqa: F401
-from .constraints import (BY_PAIR, Constraint, ConstraintKind, ConstraintTable,
-                          Path, estimate_delays)
+from .constraints import (BY_PAIR, Constraint, ConstraintKind, Path,
+                          estimate_delays)
 from .flex import FlexMode
-from .lowlevel import (Distances, LowLevelRequest, Occupancy, compute_h,
-                       fastar_search, focal_search)
+from .lowlevel import (ConstraintTable, Distances, LowLevelRequest, Occupancy,
+                       compute_h, fastar_search, focal_search)
 from .map_io import Instance
 
 INF = math.inf

@@ -26,7 +26,7 @@ import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
-from .constraints import BY_PAIR, Conflict, ConstraintTable, Path
+from .constraints import BY_PAIR, Conflict, Constraint, ConstraintKind, Path
 from .flex import threshold
 from .map_io import Cell, GridMap
 
@@ -289,6 +289,88 @@ def _drop(index: dict, key, agent: int):
     agents.remove(agent)
     if not agents:
         del index[key]
+
+
+class ConstraintTable:
+    """O(1)-queryable view of all constraints relevant to one agent.
+
+    Built per low-level search invocation from the agent's own constraints plus
+    the target blocks induced by other agents' LENGTH_LEQ constraints.
+
+    The holding time of a goal, `hold_time(goal)`, is the earliest timestep
+    from which the agent may park there for good:
+    max(earliest_goal, last_block_on(goal) + 1), INF if the goal is blocked
+    forever. Every valid path finishes at a time t with
+    hold_time(goal) <= t <= latest_goal.
+    """
+
+    def __init__(self, agent: int, constraints: list[Constraint],
+                 targets: dict[int, Cell] | None = None):
+        self.agent = agent
+        self._vertex: set[tuple[Cell, int]] = set()
+        self._edge: set[tuple[Cell, Cell, int]] = set()
+        self.blocked_from: dict[Cell, int] = {}     # blocked for all t >= value
+        self.earliest_goal = 0
+        self.latest_goal = INF
+        self.latest_constraint_t = 0
+        # every cell some constraint bars the agent from entering: no other
+        # cell is ever blocked, so callers may skip the probes for the rest
+        self.guarded: set[Cell] = set()
+        targets = targets or {}
+        for c in constraints:
+            if c.kind in (ConstraintKind.VERTEX, ConstraintKind.EDGE,
+                          ConstraintKind.LENGTH_GT):
+                if c.agent != agent:
+                    continue
+            if c.kind is ConstraintKind.VERTEX:
+                self._vertex.add((c.v, c.t))
+                self.guarded.add(c.v)
+                self.latest_constraint_t = max(self.latest_constraint_t, c.t)
+            elif c.kind is ConstraintKind.EDGE:
+                self._edge.add((c.u, c.v, c.t))
+                self.guarded.add(c.v)
+                self.latest_constraint_t = max(self.latest_constraint_t, c.t)
+            elif c.kind is ConstraintKind.LENGTH_GT:
+                self.earliest_goal = max(self.earliest_goal, c.t + 1)
+                self.latest_constraint_t = max(self.latest_constraint_t, c.t + 1)
+            elif c.kind is ConstraintKind.LENGTH_LEQ:
+                if c.agent == agent:
+                    self.latest_goal = min(self.latest_goal, c.t)
+                else:
+                    tgt = targets.get(c.agent)
+                    if tgt is not None:
+                        prev = self.blocked_from.get(tgt, INF)
+                        self.blocked_from[tgt] = min(prev, c.t)
+                        self.guarded.add(tgt)
+                self.latest_constraint_t = max(self.latest_constraint_t, c.t)
+
+    @property
+    def infeasible(self) -> bool:
+        return self.earliest_goal > self.latest_goal
+
+    def is_blocked(self, v: Cell, t: int) -> bool:
+        if (v, t) in self._vertex:
+            return True
+        frm = self.blocked_from.get(v)
+        return frm is not None and t >= frm
+
+    def is_edge_blocked(self, u: Cell, v: Cell, t: int) -> bool:
+        return (u, v, t) in self._edge
+
+    def last_block_on(self, v: Cell) -> float:
+        """Latest timestep at which v is blocked; INF if blocked forever."""
+        if v in self.blocked_from:
+            return INF
+        last = -1
+        for (cell, t) in self._vertex:
+            if cell == v and t > last:
+                last = t
+        return last
+
+    def hold_time(self, goal: Cell) -> float:
+        """Earliest timestep from which the agent may park at goal for good;
+        INF if goal is blocked forever."""
+        return max(self.earliest_goal, self.last_block_on(goal) + 1)
 
 
 @dataclass

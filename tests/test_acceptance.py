@@ -8,11 +8,11 @@ import pytest
 
 from flexcbs.bench import (BenchSpec, CSV_COLUMNS, RUNTIME_COLUMNS,
                            flex_histogram, run_benchmark)
-from flexcbs.constraints import ConstraintTable
 from flexcbs.flex import FlexMode, cfd_flex, dfd_flex, mfd_flex
 from flexcbs.highlevel import RunMetrics, Solver, SolverConfig
-from flexcbs.lowlevel import (INF, LowLevelRequest, Occupancy, compute_h,
-                              fastar_search, focal_search)
+from flexcbs.lowlevel import (INF, ConstraintTable, LowLevelRequest,
+                              Occupancy, compute_h, fastar_search,
+                              focal_search)
 from flexcbs.map_io import AgentSpec, Instance
 from flexcbs.oracle import optimal_soc, validate
 from helpers import (TreeSolver, brute_constrained_opt, largest_component,

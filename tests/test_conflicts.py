@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 from flexcbs.conflicts import (Classifier, Conflict, ConflictClass,
                                detect_conflicts, find_corridor, pick_conflict,
                                split_conflict, split_constraint_for)
-from flexcbs.constraints import (ConstraintKind, ConstraintTable, Path,
-                                 edge_constraint, length_gt, length_leq,
-                                 vertex_constraint)
+from flexcbs.constraints import (ConstraintKind, Path, edge_constraint,
+                                 length_gt, length_leq, vertex_constraint)
 from flexcbs.flex import FlexMode
 from flexcbs.highlevel import Solver, SolverConfig
-from flexcbs.lowlevel import Distances, Occupancy, earliest_arrival
+from flexcbs.lowlevel import (ConstraintTable, Distances, Occupancy,
+                              earliest_arrival)
 from flexcbs.map_io import GridMap
 from helpers import (brute_constrained_opt, brute_pair_conflicts,
                      grid_from_rows, open_grid, random_grid, random_instance,

@@ -2,9 +2,10 @@ import math
 
 import pytest
 
-from flexcbs.constraints import (Constraint, ConstraintKind, ConstraintTable,
-                                 Path, edge_constraint, estimate_delays,
-                                 length_gt, length_leq, vertex_constraint)
+from flexcbs.constraints import (Constraint, ConstraintKind, Path,
+                                 edge_constraint, estimate_delays, length_gt,
+                                 length_leq, vertex_constraint)
+from flexcbs.lowlevel import ConstraintTable
 
 
 class TestPath:

@@ -9,13 +9,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flexcbs import lowlevel
-from flexcbs.constraints import (BY_PAIR, ConstraintTable, Path,
-                                 edge_constraint, length_gt, length_leq,
-                                 vertex_constraint)
+from flexcbs.constraints import (BY_PAIR, Path, edge_constraint, length_gt,
+                                 length_leq, vertex_constraint)
 from flexcbs.highlevel import Solver, SolverConfig
-from flexcbs.lowlevel import (INF, Distances, LowLevelRequest, Occupancy,
-                              compute_h, earliest_arrival, fastar_search,
-                              focal_search)
+from flexcbs.lowlevel import (INF, ConstraintTable, Distances,
+                              LowLevelRequest, Occupancy, compute_h,
+                              earliest_arrival, fastar_search, focal_search)
 from flexcbs.map_io import GridMap
 from helpers import (brute_constrained_opt, brute_distances,
                      grid_from_rows, occupancy_state, open_grid, random_grid,
