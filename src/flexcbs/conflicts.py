@@ -152,8 +152,8 @@ class Classifier:
         if known is not None:
             return known[1]
         ctable = ConstraintTable(
-            agent, [*own, *binding, extra, length_leq(agent, cost)],
-            targets=self.targets)
+            self.grid, agent, [*own, *binding, extra, length_leq(agent, cost)],
+            self.targets)
         forced = earliest_arrival(self.grid, ctable, start,
                                   self.targets[agent], self.tables) is None
         self._verdicts[key] = (own, forced)

@@ -263,7 +263,7 @@ class Solver:
         conflicts: list[Conflict] = []
         occ = self.occ = Occupancy(self.grid)  # the paths planned so far
         for agent in range(self.k):
-            ctable = ConstraintTable(agent, [], targets=self.targets)
+            ctable = ConstraintTable(self.grid, agent, [], self.targets)
             result = self._plan(agent, ctable, occ, delta=0.0, lb_parent=0.0)
             if result is None:
                 return None
@@ -343,8 +343,8 @@ class Solver:
         conflicts = parent.conflicts  # replaced, never changed, on a replan
         replans = self._replan_set(parent.paths, agent, constraint)
         for r in sorted(replans):
-            ctable = ConstraintTable(r, [*constraints[r], *blocks],
-                                     targets=self.targets)
+            ctable = ConstraintTable(self.grid, r, [*constraints[r], *blocks],
+                                     self.targets)
             if ctable.infeasible:
                 return None
             self._sync(paths, skip=r)

@@ -50,11 +50,11 @@ class DistanceTable:
     __slots__ = ("dist", "_level", "_moves", "_frontier")
 
     def __init__(self, grid: GridMap, target: Cell,
-                 banned: frozenset[Cell] = frozenset()):
+                 banned: frozenset[int] = frozenset()):
         moves = grid.moves
         dist: list[float | None] = [None] * len(moves)
-        for c in banned:  # never entered: the BFS treats them as settled
-            dist[grid.id_of(c)] = INF
+        for v in banned:  # never entered: the BFS treats them as settled
+            dist[v] = INF
         src = grid.id_of(target)
         dist[src] = 0
         self.dist = dist
@@ -94,9 +94,9 @@ class DistanceTable:
 
 def compute_h(grid: GridMap, target: Cell, start: Cell | None = None,
               w: float = 1.0,
-              banned: frozenset[Cell] = frozenset()) -> DistanceTable:
+              banned: frozenset[int] = frozenset()) -> DistanceTable:
     """Exact static shortest-path distance to target, as a `DistanceTable`;
-    `banned` cells are never entered and read INF.
+    the cells whose ids are `banned` are never entered and read INF.
 
     With a start, the table is settled over the reach of a focal search from
     start with weight w and no constraints: its bound is w * h(start), every
@@ -115,8 +115,8 @@ def compute_h(grid: GridMap, target: Cell, start: Cell | None = None,
 
 
 class Distances:
-    """The static distance tables of one grid, one per (target, banned
-    cells), each built once through `compute_h` and settled as it is read.
+    """The static distance tables of one grid, one per (target cell, banned
+    cell ids), each built once through `compute_h` and settled as it is read.
     `seeds` maps targets to tables the owner built itself, banning nothing.
     A Solver owns one and shares it with its `Classifier` and searches.
     """
@@ -128,7 +128,7 @@ class Distances:
                         for target, table in (seeds or {}).items()}
 
     def get(self, target: Cell,
-            banned: frozenset[Cell] = frozenset()) -> DistanceTable:
+            banned: frozenset[int] = frozenset()) -> DistanceTable:
         key = (target, banned)
         table = self._tables.get(key)
         if table is None:
@@ -137,7 +137,7 @@ class Distances:
         return table
 
     def items(self):
-        """((target, banned cells), table) for every table built so far."""
+        """((target, banned cell ids), table) for every table built so far."""
         return self._tables.items()
 
 
@@ -292,85 +292,89 @@ def _drop(index: dict, key, agent: int):
 
 
 class ConstraintTable:
-    """O(1)-queryable view of all constraints relevant to one agent.
+    """The constraints one search of `agent` obeys, under the kernel's keys.
 
-    Built per low-level search invocation from the agent's own constraints plus
-    the target blocks induced by other agents' LENGTH_LEQ constraints.
+    Built per low-level search from the agent's own constraints plus the
+    target blocks induced by other agents' LENGTH_LEQ constraints (`targets`
+    maps an agent to its target); other agents' other constraints are
+    ignored. With N = len(grid.moves) cell ids:
+    - `vertex`: t * N + v for each VERTEX(v, t), the key of the state the
+      kernel would enter;
+    - `edge`: (t * N + u) * N + v for each EDGE(u, v, t), the key
+      `Occupancy.edge` files the same move under;
+    - `blocked_from`: cell id -> the timestep from which another agent's
+      LENGTH_LEQ bars its target for good;
+    - `guarded`: the ids of every cell some constraint bars; no other cell is
+      ever blocked, so the kernel skips the probes for the rest.
+    A constraint on a cell off the grid bars nothing and is dropped; like
+    every constraint it still raises `latest_constraint_t`, which sets the
+    search horizon.
 
     The holding time of a goal, `hold_time(goal)`, is the earliest timestep
-    from which the agent may park there for good:
-    max(earliest_goal, last_block_on(goal) + 1), INF if the goal is blocked
-    forever. Every valid path finishes at a time t with
+    from which the agent may park there for good: max(earliest_goal, the
+    goal's latest vertex block + 1), INF if the goal is blocked forever.
+    Every valid path finishes at a time t with
     hold_time(goal) <= t <= latest_goal.
     """
 
-    def __init__(self, agent: int, constraints: list[Constraint],
-                 targets: dict[int, Cell] | None = None):
+    def __init__(self, grid: GridMap, agent: int,
+                 constraints: Iterable[Constraint],
+                 targets: Mapping[int, Cell] | None = None):
+        n = len(grid.moves)
+        in_bounds, id_of = grid.in_bounds, grid.id_of
         self.agent = agent
-        self._vertex: set[tuple[Cell, int]] = set()
-        self._edge: set[tuple[Cell, Cell, int]] = set()
-        self.blocked_from: dict[Cell, int] = {}     # blocked for all t >= value
+        self.vertex: set[int] = set()
+        self.edge: set[int] = set()
+        self.blocked_from: dict[int, int] = {}  # blocked for all t >= value
+        self.guarded: set[int] = set()
+        self._last_vertex: dict[int, int] = {}  # cell id -> latest VERTEX t
         self.earliest_goal = 0
         self.latest_goal = INF
         self.latest_constraint_t = 0
-        # every cell some constraint bars the agent from entering: no other
-        # cell is ever blocked, so callers may skip the probes for the rest
-        self.guarded: set[Cell] = set()
         targets = targets or {}
         for c in constraints:
-            if c.kind in (ConstraintKind.VERTEX, ConstraintKind.EDGE,
-                          ConstraintKind.LENGTH_GT):
-                if c.agent != agent:
-                    continue
-            if c.kind is ConstraintKind.VERTEX:
-                self._vertex.add((c.v, c.t))
-                self.guarded.add(c.v)
-                self.latest_constraint_t = max(self.latest_constraint_t, c.t)
-            elif c.kind is ConstraintKind.EDGE:
-                self._edge.add((c.u, c.v, c.t))
-                self.guarded.add(c.v)
-                self.latest_constraint_t = max(self.latest_constraint_t, c.t)
-            elif c.kind is ConstraintKind.LENGTH_GT:
-                self.earliest_goal = max(self.earliest_goal, c.t + 1)
-                self.latest_constraint_t = max(self.latest_constraint_t, c.t + 1)
-            elif c.kind is ConstraintKind.LENGTH_LEQ:
+            kind, t = c.kind, c.t
+            if kind is ConstraintKind.LENGTH_LEQ:
                 if c.agent == agent:
-                    self.latest_goal = min(self.latest_goal, c.t)
+                    self.latest_goal = min(self.latest_goal, t)
                 else:
                     tgt = targets.get(c.agent)
-                    if tgt is not None:
-                        prev = self.blocked_from.get(tgt, INF)
-                        self.blocked_from[tgt] = min(prev, c.t)
-                        self.guarded.add(tgt)
-                self.latest_constraint_t = max(self.latest_constraint_t, c.t)
+                    if tgt is not None and in_bounds(tgt):
+                        v = id_of(tgt)
+                        self.blocked_from[v] = min(
+                            self.blocked_from.get(v, INF), t)
+                        self.guarded.add(v)
+                self.latest_constraint_t = max(self.latest_constraint_t, t)
+                continue
+            if c.agent != agent:
+                continue
+            if kind is ConstraintKind.LENGTH_GT:
+                self.earliest_goal = max(self.earliest_goal, t + 1)
+                self.latest_constraint_t = max(self.latest_constraint_t, t + 1)
+                continue
+            self.latest_constraint_t = max(self.latest_constraint_t, t)
+            if not in_bounds(c.v):
+                continue
+            v = id_of(c.v)
+            if kind is ConstraintKind.VERTEX:
+                self.vertex.add(t * n + v)
+                self._last_vertex[v] = max(self._last_vertex.get(v, -1), t)
+            elif in_bounds(c.u):
+                self.edge.add((t * n + id_of(c.u)) * n + v)
+            else:
+                continue
+            self.guarded.add(v)
 
     @property
     def infeasible(self) -> bool:
         return self.earliest_goal > self.latest_goal
 
-    def is_blocked(self, v: Cell, t: int) -> bool:
-        if (v, t) in self._vertex:
-            return True
-        frm = self.blocked_from.get(v)
-        return frm is not None and t >= frm
-
-    def is_edge_blocked(self, u: Cell, v: Cell, t: int) -> bool:
-        return (u, v, t) in self._edge
-
-    def last_block_on(self, v: Cell) -> float:
-        """Latest timestep at which v is blocked; INF if blocked forever."""
-        if v in self.blocked_from:
+    def hold_time(self, goal: int) -> float:
+        """Earliest timestep from which the agent may park at cell id goal
+        for good; INF if goal is blocked forever."""
+        if goal in self.blocked_from:
             return INF
-        last = -1
-        for (cell, t) in self._vertex:
-            if cell == v and t > last:
-                last = t
-        return last
-
-    def hold_time(self, goal: Cell) -> float:
-        """Earliest timestep from which the agent may park at goal for good;
-        INF if goal is blocked forever."""
-        return max(self.earliest_goal, self.last_block_on(goal) + 1)
+        return max(self.earliest_goal, self._last_vertex.get(goal, -1) + 1)
 
 
 @dataclass
@@ -431,10 +435,10 @@ def _search(req: LowLevelRequest, two_phase: bool) -> LowLevelResult | None:
     A state is the single int s = t * N + v for cell id v at timestep t, with
     N = len(grid.moves): the key `Occupancy` files cell v at t under, so
     the conflict count of a step probes the index's tables with the
-    successor's own key, inline. The cell id is s % N; heap entries carry -t
+    successor's own key, inline, and so does the `ConstraintTable` test of a
+    step into a guarded cell. The cell id is s % N; heap entries carry -t
     as their tie-break, so a popped entry yields v = s - t * N without a
-    division. Cells go back to tuples only for the cell-keyed constraint
-    probes of guarded cells and for the returned path.
+    division. Cells go back to tuples only for the returned path.
 
     One dict maps each generated state to its smallest conflict count, or
     to CLOSED once expanded. In phase (i) a state is in FOCAL iff
@@ -445,13 +449,13 @@ def _search(req: LowLevelRequest, two_phase: bool) -> LowLevelResult | None:
     returned path.
     """
     ctable, grid, tables = req.ctable, req.grid, req.tables
+    start, goal = grid.id_of(req.start), grid.id_of(req.goal)
     latest = ctable.latest_goal
-    hold = ctable.hold_time(req.goal)
+    hold = ctable.hold_time(goal)
     # An empty window, or a goal blocked forever (hold = INF), fails before
     # the goal's table is read.
     if ctable.infeasible or hold > latest or hold == INF:
         return None
-    start, goal = grid.id_of(req.start), grid.id_of(req.goal)
     horizon = req.effective_horizon()
     # h is consistent, so a state with t + h > latest and all its descendants
     # reach the goal too late: fail now, or prune such states in expand().
@@ -462,17 +466,17 @@ def _search(req: LowLevelRequest, two_phase: bool) -> LowLevelResult | None:
     h_start = settle(start)
     if h_start > latest:
         return None
-    if ctable.is_blocked(req.start, 0):
+    # the constraint tables, keyed as the states and moves they bar
+    barred, barred_edge = ctable.vertex, ctable.edge
+    guarded, walls = ctable.guarded, ctable.blocked_from
+    if start in barred or walls.get(start) == 0:  # the state t = 0
         return None
-    moves, cell_of = grid.moves, grid.cell_of
+    moves = grid.moves
     n = len(moves)
-    # ids of the cells some constraint bars; no other id is ever blocked
-    guarded = {grid.id_of(c) for c in ctable.guarded if grid.in_bounds(c)}
     # From t_cut on, every cell some other agent's LENGTH_LEQ blocks stays
     # blocked, so a state at t >= t_cut whose cell cannot reach the goal
     # around those cells (INF in its table, settled in full so the test is
     # one read) has no goal descendant: it is never generated.
-    walls = ctable.blocked_from
     if walls:
         t_cut = max(walls.values())
         around = tables.get(req.goal, frozenset(walls))
@@ -481,7 +485,7 @@ def _search(req: LowLevelRequest, two_phase: bool) -> LowLevelResult | None:
     else:
         t_cut, adist = horizon + 1, None
     inf = INF
-    is_blocked, is_edge_blocked = ctable.is_blocked, ctable.is_edge_blocked
+    walls_get = walls.get
     occ = req.occupancy
     vertex_get, parked_get = occ.vertex.get, occ.parked.get
     edge_get = occ.edge.get
@@ -532,9 +536,8 @@ def _search(req: LowLevelRequest, two_phase: bool) -> LowLevelResult | None:
             known = x_of.get(s2)
             if known is not None and known <= x:
                 continue
-            if v2 in guarded and (
-                    is_blocked(cell_of[v2], t2)
-                    or is_edge_blocked(cell_of[v], cell_of[v2], t2)):
+            if v2 in guarded and (s2 in barred or t2 >= walls_get(v2, inf)
+                                  or (base + v) * n + v2 in barred_edge):
                 continue
             # the step's conflicts: agents at v2 at t2, one parked at v2
             # since before t2 (t2 == park is already a vertex entry), and
@@ -609,7 +612,7 @@ def _search(req: LowLevelRequest, two_phase: bool) -> LowLevelResult | None:
         x_of[s] = CLOSED
         expand(s, v, t, x, bound + EPS)
 
-    path = _reconstruct(parent, cell_of, req.agent, s)
+    path = _reconstruct(parent, grid.cell_of, req.agent, s)
     cost = path.cost
     conflicts = x
     x_of[s] = CLOSED

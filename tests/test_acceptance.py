@@ -182,7 +182,7 @@ def test_criterion_05_fastar_lb_dominance(capsys):
         others = [random_walk_path(rng, grid, rng.choice(cells), 5)
                   for _ in range(rng.randint(0, 2))]
         targets = {1: rng.choice(cells)}
-        ctable = ConstraintTable(0, cs, targets=targets)
+        ctable = ConstraintTable(grid, 0, cs, targets)
         req = LowLevelRequest(grid=grid, agent=0, start=start, goal=goal,
                               ctable=ctable,
                               occupancy=Occupancy(grid, others),

@@ -211,9 +211,9 @@ class TestClassifier:
         blocks = (length_leq(2, 0),)
         constraints = [(), (), blocks]
         c = Conflict(0, 1, (0, 1), 1)
-        replan = ConstraintTable(0, [split_constraint_for(0, c),
-                                     length_leq(0, 2), *blocks],
-                                 targets=targets)
+        replan = ConstraintTable(grid, 0, [split_constraint_for(0, c),
+                                           length_leq(0, 2), *blocks],
+                                 targets)
         assert earliest_arrival(grid, replan, (0, 0), (1, 1),
                                 Distances(grid)) is None
         classifier = Classifier(grid, targets)
@@ -378,7 +378,7 @@ class TestMinCostWithin:
             cs = [vertex_constraint(0, rng.choice(cells), rng.randint(0, 4))
                   for _ in range(rng.randint(0, 3))]
             cap = rng.randint(1, 8)
-            table = ConstraintTable(0, [*cs, length_leq(0, cap)])
+            table = ConstraintTable(grid, 0, [*cs, length_leq(0, cap)])
             got = earliest_arrival(grid, table, start, goal, Distances(grid))
             want = brute_constrained_opt(grid, cs, 0, start, goal, {}, cap)
             assert got == want

@@ -1,11 +1,14 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from flexcbs.constraints import (Constraint, ConstraintKind, Path,
                                  edge_constraint, estimate_delays, length_gt,
                                  length_leq, vertex_constraint)
 from flexcbs.lowlevel import ConstraintTable
+from helpers import brute_steps, open_grid, small_grids
 
 
 class TestPath:
@@ -33,55 +36,163 @@ class TestConstraintFactories:
 
 
 class TestConstraintTable:
+    """The table files constraints under the kernel's keys: on a 3x3 grid,
+    N = 9 and cell (r, c) has id 3 * r + c."""
+
+    GRID = open_grid(3, 3)
+
+    def table(self, constraints, targets=None):
+        return ConstraintTable(self.GRID, 0, constraints, targets)
+
     def test_vertex_blocks_exact_timestep(self):
-        table = ConstraintTable(0, [vertex_constraint(0, (1, 1), 3)])
-        assert table.is_blocked((1, 1), 3)
-        assert not table.is_blocked((1, 1), 2)
-        assert not table.is_blocked((1, 1), 4)
+        table = self.table([vertex_constraint(0, (1, 1), 3)])
+        assert table.vertex == {3 * 9 + 4}
+        assert table.guarded == {4}
+        assert table.edge == set() and table.blocked_from == {}
 
     def test_other_agents_vertex_constraints_ignored(self):
-        table = ConstraintTable(0, [vertex_constraint(1, (1, 1), 3)])
-        assert not table.is_blocked((1, 1), 3)
+        table = self.table([vertex_constraint(1, (1, 1), 3)])
+        assert table.vertex == set() and table.guarded == set()
+        assert table.latest_constraint_t == 0
 
     def test_edge_blocks_directed_move(self):
-        table = ConstraintTable(0, [edge_constraint(0, (0, 0), (0, 1), 2)])
-        assert table.is_edge_blocked((0, 0), (0, 1), 2)
-        assert not table.is_edge_blocked((0, 1), (0, 0), 2)
-        assert not table.is_edge_blocked((0, 0), (0, 1), 1)
+        table = self.table([edge_constraint(0, (0, 0), (0, 1), 2)])
+        assert table.edge == {(2 * 9 + 0) * 9 + 1}
+        assert table.guarded == {1}
+        assert table.vertex == set()
 
     def test_length_bounds(self):
-        table = ConstraintTable(0, [length_gt(0, 5)])
+        table = self.table([length_gt(0, 5)])
         assert table.earliest_goal == 6
-        table = ConstraintTable(0, [length_leq(0, 4)])
+        table = self.table([length_leq(0, 4)])
         assert table.latest_goal == 4
 
     def test_contradictory_length_bounds_infeasible(self):
-        table = ConstraintTable(0, [length_gt(0, 5), length_leq(0, 4)])
+        table = self.table([length_gt(0, 5), length_leq(0, 4)])
         assert table.infeasible
-        table = ConstraintTable(0, [length_gt(0, 3), length_leq(0, 4)])
+        table = self.table([length_gt(0, 3), length_leq(0, 4)])
         assert not table.infeasible
 
     def test_other_agents_length_leq_blocks_their_target(self):
         targets = {0: (0, 0), 1: (2, 2)}
-        table = ConstraintTable(0, [length_leq(1, 4)], targets=targets)
-        assert not table.is_blocked((2, 2), 3)
-        assert table.is_blocked((2, 2), 4)
-        assert table.is_blocked((2, 2), 50)
+        table = self.table([length_leq(1, 4), length_leq(1, 6)], targets)
+        assert table.blocked_from == {8: 4}
+        assert table.guarded == {8}
 
     def test_goal_arrival_requires_no_future_block(self):
-        table = ConstraintTable(0, [vertex_constraint(0, (0, 2), 5)])
-        assert table.hold_time((0, 2)) == 6
+        table = self.table([vertex_constraint(0, (0, 2), 5),
+                            vertex_constraint(0, (0, 2), 1)])
+        assert table.hold_time(2) == 6
 
     def test_goal_arrival_window(self):
-        table = ConstraintTable(0, [length_gt(0, 2), length_leq(0, 6)])
-        assert table.hold_time((0, 0)) == 3
+        table = self.table([length_gt(0, 2), length_leq(0, 6)])
+        assert table.hold_time(0) == 3
         assert table.latest_goal == 6
 
     def test_blocked_forever_goal_never_ok(self):
         targets = {1: (2, 2)}
-        table = ConstraintTable(0, [length_leq(1, 4)], targets=targets)
-        assert table.last_block_on((2, 2)) == math.inf
-        assert table.hold_time((2, 2)) == math.inf
+        table = self.table([length_leq(1, 4)], targets)
+        assert table.hold_time(8) == math.inf
+
+    def test_cells_off_the_grid_are_dropped(self):
+        """A constraint off the grid bars nothing, but still sets the
+        horizon through latest_constraint_t."""
+        targets = {1: (3, 0)}
+        table = self.table([vertex_constraint(0, (0, 3), 7),
+                            edge_constraint(0, (-1, 0), (0, 0), 8),
+                            length_leq(1, 9)], targets)
+        assert table.vertex == set() and table.edge == set()
+        assert table.blocked_from == {} and table.guarded == set()
+        assert table.latest_constraint_t == 9
+
+
+@st.composite
+def keyed_tables(draw):
+    """A small grid with agent 0's constraints and other agents' vertex and
+    LENGTH_LEQ constraints; cells and targets sometimes lie off the grid."""
+    grid = draw(small_grids(4, 5))
+    cells = grid.passable_cells()
+    assume(cells)
+    off = st.tuples(st.integers(-1, grid.height), st.integers(-1, grid.width))
+    cell = st.one_of(st.sampled_from(cells), off)
+    step = st.integers(0, 6)
+    move = st.sampled_from(cells).flatmap(
+        lambda v: st.tuples(st.sampled_from(brute_steps(grid, v)), st.just(v)))
+    constraint = st.one_of(
+        st.builds(vertex_constraint, st.just(0), cell, step),
+        st.builds(lambda uv, t: edge_constraint(0, *uv, t),
+                  st.one_of(move, st.tuples(cell, cell)), st.integers(1, 6)),
+        st.builds(length_gt, st.just(0), step),
+        st.builds(length_leq, st.just(0), step),
+        st.builds(vertex_constraint, st.integers(1, 2), cell, step),
+        st.builds(length_leq, st.integers(1, 3), step))
+    cs = draw(st.lists(constraint, max_size=8))
+    targets = draw(st.dictionaries(st.integers(1, 3), cell))
+    return grid, cs, targets
+
+
+def reference_rules(cs, targets):
+    """The table's rules over cell tuples: blocked(v, t), edge_blocked(u, v,
+    t), hold_time(goal) and the latest constraint timestep."""
+    vertex, edge, blocked_from = set(), set(), {}
+    earliest, latest_t = 0, 0
+    for c in cs:
+        if c.kind is ConstraintKind.LENGTH_LEQ:
+            latest_t = max(latest_t, c.t)
+            if c.agent != 0 and c.agent in targets:
+                tgt = targets[c.agent]
+                blocked_from[tgt] = min(blocked_from.get(tgt, math.inf), c.t)
+        elif c.agent == 0 and c.kind is ConstraintKind.LENGTH_GT:
+            earliest = max(earliest, c.t + 1)
+            latest_t = max(latest_t, c.t + 1)
+        elif c.agent == 0:
+            if c.kind is ConstraintKind.VERTEX:
+                vertex.add((c.v, c.t))
+            else:
+                edge.add((c.u, c.v, c.t))
+            latest_t = max(latest_t, c.t)
+
+    def blocked(v, t):
+        return (v, t) in vertex or t >= blocked_from.get(v, math.inf)
+
+    def edge_blocked(u, v, t):
+        return (u, v, t) in edge
+
+    def hold_time(goal):
+        if goal in blocked_from:
+            return math.inf
+        last = max((t for v, t in vertex if v == goal), default=-1)
+        return max(earliest, last + 1)
+
+    return blocked, edge_blocked, hold_time, latest_t
+
+
+class TestKeyedTableMatchesCellRules:
+    @settings(max_examples=300, deadline=None)
+    @given(problem=keyed_tables())
+    def test_keys_answer_as_the_cell_rules(self, problem):
+        """For every passable cell, move and timestep up to two past the
+        latest constraint, the keyed sets answer as the rules over cell
+        tuples, and only guarded cells are ever barred."""
+        grid, cs, targets = problem
+        table = ConstraintTable(grid, 0, cs, targets)
+        blocked, edge_blocked, hold_time, latest_t = reference_rules(
+            cs, targets)
+        assert table.latest_constraint_t == latest_t
+        n = len(grid.moves)
+        for u_cell in grid.passable_cells():
+            u = grid.id_of(u_cell)
+            assert table.hold_time(u) == hold_time(u_cell)
+            for v_cell in brute_steps(grid, u_cell):
+                v = grid.id_of(v_cell)
+                for t in range(latest_t + 3):
+                    barred = (t * n + v in table.vertex
+                              or t >= table.blocked_from.get(v, math.inf))
+                    assert barred == blocked(v_cell, t)
+                    barred_move = (t * n + u) * n + v in table.edge
+                    assert barred_move == edge_blocked(u_cell, v_cell, t)
+                    if barred or barred_move:
+                        assert v in table.guarded
 
 
 class TestEstimateDelays:

@@ -9,8 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flexcbs import lowlevel
-from flexcbs.constraints import (BY_PAIR, Path, edge_constraint, length_gt,
-                                 length_leq, vertex_constraint)
+from flexcbs.constraints import (BY_PAIR, ConstraintKind, Path,
+                                 edge_constraint, length_gt, length_leq,
+                                 vertex_constraint)
 from flexcbs.highlevel import Solver, SolverConfig
 from flexcbs.lowlevel import (INF, ConstraintTable, Distances,
                               LowLevelRequest, Occupancy, compute_h,
@@ -23,7 +24,7 @@ from helpers import (brute_constrained_opt, brute_distances,
 
 def make_request(grid, start, goal, constraints=(), others=(), w=1.0,
                  delta=0.0, lb_parent=0.0, agent=0, targets=None, tables=None):
-    ctable = ConstraintTable(agent, list(constraints), targets=targets or {})
+    ctable = ConstraintTable(grid, agent, list(constraints), targets)
     return LowLevelRequest(
         grid=grid, agent=agent, start=start, goal=goal, ctable=ctable,
         occupancy=Occupancy(grid, others),
@@ -100,7 +101,7 @@ class TestComputeH:
 
     def test_banned_cells_are_walls(self):
         grid = open_grid(2, 5)
-        h = compute_h(grid, (0, 4), banned=frozenset({(0, 2)}))
+        h = compute_h(grid, (0, 4), banned=frozenset({grid.id_of((0, 2))}))
         assert h[grid.id_of((0, 2))] == INF
         assert h[grid.id_of((0, 0))] == 6
 
@@ -313,7 +314,7 @@ class TestFocalSearch:
     def test_unreachable_goal(self):
         grid = grid_from_rows([".@."])
         req = LowLevelRequest(grid=grid, agent=0, start=(0, 0), goal=(0, 2),
-                              ctable=ConstraintTable(0, []),
+                              ctable=ConstraintTable(grid, 0, []),
                               occupancy=Occupancy(grid))
         assert focal_search(req) is None
 
@@ -483,8 +484,8 @@ class TestKernelDigest:
 def probe(grid, constraints, start, goal, horizon, targets=None,
           tables=None):
     """earliest_arrival with the window capped by length_leq(0, horizon)."""
-    table = ConstraintTable(0, [*constraints, length_leq(0, horizon)],
-                            targets=targets or {})
+    table = ConstraintTable(grid, 0, [*constraints, length_leq(0, horizon)],
+                            targets)
     return earliest_arrival(grid, table, start, goal,
                             tables if tables is not None else Distances(grid))
 
@@ -631,7 +632,7 @@ def check_searches_against_brute(grid, start, goal, cs, others, targets,
     assert (fres is None) == (brute is None)
     assert (sres is None) == (brute is None)
     if brute is not None:
-        hold = req.ctable.hold_time(goal)
+        hold = req.ctable.hold_time(grid.id_of(goal))
         assert fres.lb == brute
         assert sres.lb <= brute <= sres.cost
         assert fres.lb >= hold and sres.lb >= hold
@@ -727,7 +728,8 @@ class TestLazyTables:
         grid = instance.map
         banned_keys = 0
         for (target, banned), h in solver.tables.items():
-            brute = brute_distances(grid, target, banned)
+            brute = brute_distances(grid, target,
+                                    {grid.cell_of[v] for v in banned})
             for i, cell in enumerate(grid.cell_of):
                 assert h.dist[i] in (None, brute.get(cell, INF))
             banned_keys += bool(banned)
@@ -752,7 +754,7 @@ class TestLazyTables:
             req = make_request(grid, start, (3, 3), [length_leq(1, 2)],
                                targets={1: (1, 2)}, tables=tables)
             assert focal_search(req) is not None
-        walls = frozenset({(1, 2)})
+        walls = frozenset({grid.id_of((1, 2))})
         assert built == [((3, 3), frozenset()), ((3, 3), walls)]
         assert None not in tables.get((3, 3), walls).dist
 
@@ -798,8 +800,17 @@ class TestHoldingTime:
     @settings(max_examples=200, deadline=None)
     @given(problem=constrained_problems(), t=st.integers(0, 16))
     def test_arrival_window_matches_three_clause_test(self, problem, t):
-        _grid, _cells, _start, goal, cs, targets = problem
-        table = ConstraintTable(0, cs, targets=targets)
+        grid, _cells, _start, goal, cs, targets = problem
+        table = ConstraintTable(grid, 0, cs, targets)
+        # the last timestep the goal is blocked, read off the constraints
+        if any(c.kind is ConstraintKind.LENGTH_LEQ and c.agent != 0
+               and targets.get(c.agent) == goal for c in cs):
+            last_block = INF
+        else:
+            last_block = max((c.t for c in cs
+                              if c.kind is ConstraintKind.VERTEX
+                              and c.agent == 0 and c.v == goal), default=-1)
         old = (table.earliest_goal <= t <= table.latest_goal
-               and t > table.last_block_on(goal))
-        assert (table.hold_time(goal) <= t <= table.latest_goal) == old
+               and t > last_block)
+        hold = table.hold_time(grid.id_of(goal))
+        assert (hold <= t <= table.latest_goal) == old
