@@ -98,7 +98,6 @@ class BenchSpec:
     flex_modes: list[str]
     low_level: str = "focal"
     time_limit: float = 60.0
-    repetitions: int = 1
     out_csv: str | None = None
     out_summary: str | None = None
     out_plots: str | None = None
@@ -142,25 +141,20 @@ def run_benchmark(spec: BenchSpec) -> list[ResultRow]:
         for scen, k, instance in sweep:
             for w in spec.w_values:
                 for mode in spec.flex_modes:
-                    for rep in range(spec.repetitions):
-                        config = SolverConfig(
-                            w=w, flex_mode=FlexMode(mode),
-                            low_level=spec.low_level,
-                            time_limit=spec.time_limit)
-                        result = Solver(instance, config).solve()
-                        outcome = result.outcome
-                        if result.paths is not None:
-                            if validate(result.paths, instance):
-                                outcome = "invalid"
-                        result.metrics.outcome = outcome
-                        iid = f"{scen}:{k}"
-                        if spec.repetitions > 1:
-                            iid += f":rep{rep}"
-                        row = ResultRow.from_metrics(iid, k, config,
-                                                     result.metrics)
-                        rows.append(row)
-                        if writer is not None:
-                            writer.writerow(row.to_csv_values())
+                    config = SolverConfig(
+                        w=w, flex_mode=FlexMode(mode),
+                        low_level=spec.low_level, time_limit=spec.time_limit)
+                    result = Solver(instance, config).solve()
+                    outcome = result.outcome
+                    if result.paths is not None:
+                        if validate(result.paths, instance):
+                            outcome = "invalid"
+                    result.metrics.outcome = outcome
+                    row = ResultRow.from_metrics(f"{scen}:{k}", k, config,
+                                                 result.metrics)
+                    rows.append(row)
+                    if writer is not None:
+                        writer.writerow(row.to_csv_values())
     finally:
         if csv_file is not None:
             csv_file.close()
@@ -261,7 +255,6 @@ def main(argv=None) -> int:
                     choices=[m.value for m in FlexMode])
     ap.add_argument("--lowlevel", default="focal", choices=["focal", "fastar"])
     ap.add_argument("--time-limit", type=positive_seconds, default=60.0)
-    ap.add_argument("--repetitions", type=positive_int, default=1)
     ap.add_argument("--out-csv", default="results.csv")
     ap.add_argument("--out-summary", default=None)
     ap.add_argument("--out-plots", default=None)
@@ -269,8 +262,7 @@ def main(argv=None) -> int:
     spec = BenchSpec(map_path=args.map, scen_paths=args.scen,
                      agent_counts=args.agents, w_values=args.suboptimality,
                      flex_modes=args.flex, low_level=args.lowlevel,
-                     time_limit=args.time_limit, repetitions=args.repetitions,
-                     out_csv=args.out_csv,
+                     time_limit=args.time_limit, out_csv=args.out_csv,
                      out_summary=args.out_summary, out_plots=args.out_plots)
     try:
         rows = run_benchmark(spec)

@@ -27,7 +27,7 @@ class UsageParser(argparse.ArgumentParser):
 
 
 def positive_int(text: str) -> int:
-    """argparse type for --agents and --repetitions: an integer of at least 1."""
+    """argparse type for --agents: an integer of at least 1."""
     k = int(text)
     if k < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {k}")

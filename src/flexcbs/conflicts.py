@@ -86,18 +86,18 @@ class Classifier:
     With `symmetry` a conflict at a finished agent's target is a TARGET
     conflict; otherwise, with `prioritize`, cardinality probes rank it. The
     probes read the table to the agent's target from `tables`, the grid's
-    `Distances` cache, shared with the owner (a fresh one if None). One
-    Classifier serves one Solver: its probe verdicts are kept for its life.
+    `Distances` cache, shared with the owner. One Classifier serves one
+    Solver: its probe verdicts are kept for its life.
     """
 
     def __init__(self, grid: GridMap, targets: dict[int, Cell],
-                 symmetry: bool = True, prioritize: bool = True,
-                 tables: Distances | None = None):
+                 tables: Distances, symmetry: bool = True,
+                 prioritize: bool = True):
         self.grid = grid
         self.targets = targets
         self.symmetry = symmetry
         self.prioritize = prioritize
-        self.tables = tables if tables is not None else Distances(grid)
+        self.tables = tables
         # (agent, id of its constraint tuple, binding blocks, split, cost)
         # -> (that tuple, verdict); holding the tuple keeps its id from reuse
         self._verdicts: dict[tuple, tuple[tuple[Constraint, ...], bool]] = {}

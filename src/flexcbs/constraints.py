@@ -1,5 +1,6 @@
-"""Paths, conflicts, constraints, the per-search constraint table, and delay
-estimation."""
+"""Paths, conflicts, constraints and delay estimation. The per-search view
+of an agent's constraints, `lowlevel.ConstraintTable`, lives with the
+search kernel, the one module that knows the space-time key."""
 
 from __future__ import annotations
 

@@ -200,10 +200,9 @@ class Solver:
         self.tables = Distances(self.grid, {
             a.target: compute_h(self.grid, a.target, a.start, config.w)
             for a in instance.agents})
-        self.classifier = Classifier(self.grid, self.targets,
+        self.classifier = Classifier(self.grid, self.targets, self.tables,
                                      symmetry=config.symmetry,
-                                     prioritize=config.prioritize,
-                                     tables=self.tables)
+                                     prioritize=config.prioritize)
         # the paths of the CT node being worked on, but for the agent being
         # replanned; built by make_root, moved between nodes by _sync
         self.occ: Occupancy | None = None

@@ -12,11 +12,16 @@ constrained path cost, and stops once f reaches the cost of the path it
 holds. `_search` is the package's one time-expanded search: the
 cardinality probe, `earliest_arrival`, is its focal phase at w = 1.
 
+This is the one module that knows the space-time key (see `map_io`): the
+kernel's states, the `Occupancy` index of the other agents' paths and the
+`ConstraintTable` of the agent's constraints all use it, so the kernel
+tests a step against both without translating a cell.
+
 h is the exact static distance to the goal. Every static table comes from
 one per-grid cache, `Distances`: a `DistanceTable` per (target, banned
-cells), a backward BFS settled only as far as it is read. A Solver settles
-each agent's over the reach of its root search. The goal's table around
-cells blocked forever says which cells still reach the goal.
+cell ids), a backward BFS settled only as far as it is read. A Solver
+settles each agent's over the reach of its root search. The goal's table
+around cells blocked forever says which cells still reach the goal.
 """
 
 from __future__ import annotations
@@ -359,11 +364,10 @@ class ConstraintTable:
             if kind is ConstraintKind.VERTEX:
                 self.vertex.add(t * n + v)
                 self._last_vertex[v] = max(self._last_vertex.get(v, -1), t)
+                self.guarded.add(v)
             elif in_bounds(c.u):
                 self.edge.add((t * n + id_of(c.u)) * n + v)
-            else:
-                continue
-            self.guarded.add(v)
+                self.guarded.add(v)
 
     @property
     def infeasible(self) -> bool:
@@ -385,16 +389,12 @@ class LowLevelRequest:
     goal: Cell
     ctable: ConstraintTable
     occupancy: Occupancy
+    # h = tables.get(goal), and the table around cells blocked forever;
+    # shared by one Solver's searches
+    tables: Distances
     w: float = 1.0
     delta: float = 0.0
     lb_parent: float = 0.0
-    # h = tables.get(goal), and the table around cells blocked forever;
-    # shared by one Solver's searches (a fresh cache if None)
-    tables: Distances | None = None
-
-    def __post_init__(self):
-        if self.tables is None:
-            self.tables = Distances(self.grid)
 
     def effective_horizon(self) -> int:
         return self.ctable.latest_constraint_t + self.grid.num_passable() + 1
@@ -657,8 +657,8 @@ def fastar_search(req: LowLevelRequest) -> LowLevelResult | None:
 def earliest_arrival(grid: GridMap, ctable: ConstraintTable, start: Cell,
                      goal: Cell, tables: Distances) -> int | None:
     """Earliest timestep t at which the agent can reach goal and park there
-    for good, with ctable.hold_time(goal) <= t <= ctable.latest_goal; None
-    if there is none. The cardinality probe caps the window with a
+    for good, with ctable.hold_time(id of goal) <= t <= ctable.latest_goal;
+    None if there is none. The cardinality probe caps the window with a
     LENGTH_LEQ at the agent's current cost.
 
     The focal kernel at w = 1 with no flex and no other paths: FOCAL then

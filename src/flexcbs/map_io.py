@@ -11,8 +11,9 @@ maps a cell to its id and `GridMap.cell_of` maps an id back to the grid's
 own cell tuple.
 A cell id v at timestep t is the space-time key `t * N + v`, with
 N = len(moves) = height * width (not width, which would alias a timestep's
-cells with the next's): the low-level search keys its states by it and
-`lowlevel.Occupancy` its vertex table.
+cells with the next's): the low-level search keys its states by it, and
+`lowlevel.Occupancy` and `lowlevel.ConstraintTable` their vertex and edge
+tables, which file a move u -> v arriving at t under `(t * N + u) * N + v`.
 """
 
 from __future__ import annotations

@@ -10,9 +10,9 @@ from flexcbs.bench import (BenchSpec, CSV_COLUMNS, RUNTIME_COLUMNS,
                            flex_histogram, run_benchmark)
 from flexcbs.flex import FlexMode, cfd_flex, dfd_flex, mfd_flex
 from flexcbs.highlevel import RunMetrics, Solver, SolverConfig
-from flexcbs.lowlevel import (INF, ConstraintTable, LowLevelRequest,
-                              Occupancy, compute_h, fastar_search,
-                              focal_search)
+from flexcbs.lowlevel import (INF, ConstraintTable, Distances,
+                              LowLevelRequest, Occupancy, compute_h,
+                              fastar_search, focal_search)
 from flexcbs.map_io import AgentSpec, Instance
 from flexcbs.oracle import optimal_soc, validate
 from helpers import (TreeSolver, brute_constrained_opt, largest_component,
@@ -186,6 +186,7 @@ def test_criterion_05_fastar_lb_dominance(capsys):
         req = LowLevelRequest(grid=grid, agent=0, start=start, goal=goal,
                               ctable=ctable,
                               occupancy=Occupancy(grid, others),
+                              tables=Distances(grid),
                               w=rng.choice([1.0, 1.05, 1.5, 2.0]),
                               delta=rng.choice([0.0, 1.0, 3.0]))
         fres = fastar_search(req)

@@ -130,7 +130,6 @@ class TestBenchUsageErrors:
         ["--suboptimality", "1.05", "nan"],
         ["--time-limit", "0"],
         ["--time-limit", "nan"],
-        ["--repetitions", "0"],
     ])
     def test_rejected_with_usage_exit(self, files, tmp_path, args):
         map_path, scen_path = files

@@ -150,7 +150,8 @@ class TestFindCorridor:
 
 class TestClassifier:
     def make(self, grid, targets):
-        return Classifier(grid, targets, symmetry=True, prioritize=True)
+        return Classifier(grid, targets, Distances(grid), symmetry=True,
+                          prioritize=True)
 
     def test_target_conflict(self):
         grid = open_grid(1, 6)
@@ -195,8 +196,8 @@ class TestClassifier:
         parked = Path(0, ((0, 1), (0, 2)))
         passer = Path(1, ((0, 5), (0, 4), (0, 3), (0, 2), (0, 1)))
         conflicts, _, _ = detect_conflicts(grid, [parked, passer])
-        plain = Classifier(grid, {0: (0, 2), 1: (0, 1)}, symmetry=False,
-                           prioritize=False)
+        plain = Classifier(grid, {0: (0, 2), 1: (0, 1)}, Distances(grid),
+                           symmetry=False, prioritize=False)
         c = plain.classify(conflicts[0], [parked, passer], [(), ()], ())
         assert c.cls is ConflictClass.UNCLASSIFIED
 
@@ -216,7 +217,7 @@ class TestClassifier:
                                  targets)
         assert earliest_arrival(grid, replan, (0, 0), (1, 1),
                                 Distances(grid)) is None
-        classifier = Classifier(grid, targets)
+        classifier = Classifier(grid, targets, Distances(grid))
         assert classifier._forced(0, c, [p0, p1, Path(2, ((1, 0),))],
                                   constraints, blocks)
 
@@ -356,7 +357,7 @@ class TestForcedMatchesOracle:
         want = brute_constrained_opt(
             grid, [*own, *blocks, split, length_leq(0, cost)], 0, start,
             targets[0], targets, cost) is None
-        classifier = Classifier(grid, targets)
+        classifier = Classifier(grid, targets, Distances(grid))
         forced = classifier._forced(0, c, paths, constraints, blocks)
         assert forced == want
         # blocks only take paths away: forced without them stays forced

@@ -28,7 +28,8 @@ def make_request(grid, start, goal, constraints=(), others=(), w=1.0,
     return LowLevelRequest(
         grid=grid, agent=agent, start=start, goal=goal, ctable=ctable,
         occupancy=Occupancy(grid, others),
-        w=w, delta=delta, lb_parent=lb_parent, tables=tables)
+        tables=tables if tables is not None else Distances(grid),
+        w=w, delta=delta, lb_parent=lb_parent)
 
 
 class TestComputeH:
@@ -315,7 +316,8 @@ class TestFocalSearch:
         grid = grid_from_rows([".@."])
         req = LowLevelRequest(grid=grid, agent=0, start=(0, 0), goal=(0, 2),
                               ctable=ConstraintTable(grid, 0, []),
-                              occupancy=Occupancy(grid))
+                              occupancy=Occupancy(grid),
+                              tables=Distances(grid))
         assert focal_search(req) is None
 
     def test_goal_blocked_forever_infeasible(self):
