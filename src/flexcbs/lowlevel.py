@@ -324,7 +324,7 @@ class ConstraintTable:
 
     def __init__(self, grid: GridMap, agent: int,
                  constraints: Iterable[Constraint],
-                 targets: Mapping[int, Cell] | None = None):
+                 targets: Mapping[int, Cell]):
         n = len(grid.moves)
         in_bounds, id_of = grid.in_bounds, grid.id_of
         self.agent = agent
@@ -336,7 +336,6 @@ class ConstraintTable:
         self.earliest_goal = 0
         self.latest_goal = INF
         self.latest_constraint_t = 0
-        targets = targets or {}
         for c in constraints:
             kind, t = c.kind, c.t
             if kind is ConstraintKind.LENGTH_LEQ:

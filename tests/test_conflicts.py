@@ -379,7 +379,7 @@ class TestMinCostWithin:
             cs = [vertex_constraint(0, rng.choice(cells), rng.randint(0, 4))
                   for _ in range(rng.randint(0, 3))]
             cap = rng.randint(1, 8)
-            table = ConstraintTable(grid, 0, [*cs, length_leq(0, cap)])
+            table = ConstraintTable(grid, 0, [*cs, length_leq(0, cap)], {})
             got = earliest_arrival(grid, table, start, goal, Distances(grid))
             want = brute_constrained_opt(grid, cs, 0, start, goal, {}, cap)
             assert got == want

@@ -42,7 +42,7 @@ class TestConstraintTable:
     GRID = open_grid(3, 3)
 
     def table(self, constraints, targets=None):
-        return ConstraintTable(self.GRID, 0, constraints, targets)
+        return ConstraintTable(self.GRID, 0, constraints, targets or {})
 
     def test_vertex_blocks_exact_timestep(self):
         table = self.table([vertex_constraint(0, (1, 1), 3)])

@@ -24,7 +24,7 @@ from helpers import (brute_constrained_opt, brute_distances,
 
 def make_request(grid, start, goal, constraints=(), others=(), w=1.0,
                  delta=0.0, lb_parent=0.0, agent=0, targets=None, tables=None):
-    ctable = ConstraintTable(grid, agent, list(constraints), targets)
+    ctable = ConstraintTable(grid, agent, list(constraints), targets or {})
     return LowLevelRequest(
         grid=grid, agent=agent, start=start, goal=goal, ctable=ctable,
         occupancy=Occupancy(grid, others),
@@ -315,7 +315,7 @@ class TestFocalSearch:
     def test_unreachable_goal(self):
         grid = grid_from_rows([".@."])
         req = LowLevelRequest(grid=grid, agent=0, start=(0, 0), goal=(0, 2),
-                              ctable=ConstraintTable(grid, 0, []),
+                              ctable=ConstraintTable(grid, 0, [], {}),
                               occupancy=Occupancy(grid),
                               tables=Distances(grid))
         assert focal_search(req) is None
@@ -487,7 +487,7 @@ def probe(grid, constraints, start, goal, horizon, targets=None,
           tables=None):
     """earliest_arrival with the window capped by length_leq(0, horizon)."""
     table = ConstraintTable(grid, 0, [*constraints, length_leq(0, horizon)],
-                            targets)
+                            targets or {})
     return earliest_arrival(grid, table, start, goal,
                             tables if tables is not None else Distances(grid))
 
