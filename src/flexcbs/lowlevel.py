@@ -45,11 +45,12 @@ class DistanceTable:
     that is resumed one level at a time (Silver's Reverse Resumable A*, in its
     plain BFS form).
 
-    `dist` is a list indexed by cell id: an entry is exact once settled and
-    None before. After level d every cell within d steps is settled. When the
-    BFS runs out, every entry still None becomes INF: blocked cells and cells
-    that cannot reach the target. Hot loops bind `dist` and `settle` to
-    locals and call `settle(v)` on a None read; `table[v]` does both.
+    `dist` is a list indexed by cell id, one entry per passable cell: an entry
+    is exact once settled and None before. After level d every cell within d
+    steps is settled. When the BFS runs out, every entry still None becomes
+    INF: the cells that cannot reach the target. Hot loops bind `dist` and
+    `settle` to locals and call `settle(v)` on a None read; `table[v]` does
+    both.
     """
 
     __slots__ = ("dist", "_level", "_moves", "_frontier")
@@ -152,9 +153,10 @@ class Occupancy:
     conflicts; `conflicts_with` lists the conflicts of a whole path for the
     high level.
 
-    With N = len(grid.moves) cell ids, cell id v at timestep t has the
+    With N = grid.num_passable() cell ids, cell id v at timestep t has the
     space-time key t * N + v, the number the search kernel uses for its
-    states. The tables:
+    states; an indexed path's cells must be passable, since only they have
+    ids. The tables:
     - `vertex`: t * N + v -> the agents at v at t;
     - `edge`: (t * N + u) * N + v -> the agents moving u -> v arriving at t
       (a wait is no edge); a step u -> v with key s = t * N + v finds the
@@ -172,7 +174,7 @@ class Occupancy:
 
     def __init__(self, grid: GridMap, paths: Iterable[Path] = ()):
         self.n = len(grid.moves)
-        self._id_of = grid.id_of
+        self._id_of = grid.index.__getitem__
         self.vertex: dict[int, list[int]] = {}
         self.edge: dict[int, list[int]] = {}
         self.ends: dict[int, list[Path]] = {}
@@ -302,7 +304,7 @@ class ConstraintTable:
     Built per low-level search from the agent's own constraints plus the
     target blocks induced by other agents' LENGTH_LEQ constraints (`targets`
     maps an agent to its target); other agents' other constraints are
-    ignored. With N = len(grid.moves) cell ids:
+    ignored. With N = grid.num_passable() cell ids:
     - `vertex`: t * N + v for each VERTEX(v, t), the key of the state the
       kernel would enter;
     - `edge`: (t * N + u) * N + v for each EDGE(u, v, t), the key
@@ -311,9 +313,9 @@ class ConstraintTable:
       LENGTH_LEQ bars its target for good;
     - `guarded`: the ids of every cell some constraint bars; no other cell is
       ever blocked, so the kernel skips the probes for the rest.
-    A constraint on a cell off the grid bars nothing and is dropped; like
-    every constraint it still raises `latest_constraint_t`, which sets the
-    search horizon.
+    A constraint on a cell off the grid or blocked bars nothing, since the
+    kernel never enters such a cell, and is dropped; like every constraint it
+    still raises `latest_constraint_t`, which sets the search horizon.
 
     The holding time of a goal, `hold_time(goal)`, is the earliest timestep
     from which the agent may park there for good: max(earliest_goal, the
@@ -326,7 +328,7 @@ class ConstraintTable:
                  constraints: Iterable[Constraint],
                  targets: Mapping[int, Cell]):
         n = len(grid.moves)
-        in_bounds, id_of = grid.in_bounds, grid.id_of
+        cell_id = grid.index.get  # None off the grid or on a blocked cell
         self.agent = agent
         self.vertex: set[int] = set()
         self.edge: set[int] = set()
@@ -343,8 +345,8 @@ class ConstraintTable:
                     self.latest_goal = min(self.latest_goal, t)
                 else:
                     tgt = targets.get(c.agent)
-                    if tgt is not None and in_bounds(tgt):
-                        v = id_of(tgt)
+                    v = None if tgt is None else cell_id(tgt)
+                    if v is not None:
                         self.blocked_from[v] = min(
                             self.blocked_from.get(v, INF), t)
                         self.guarded.add(v)
@@ -357,15 +359,17 @@ class ConstraintTable:
                 self.latest_constraint_t = max(self.latest_constraint_t, t + 1)
                 continue
             self.latest_constraint_t = max(self.latest_constraint_t, t)
-            if not in_bounds(c.v):
+            v = cell_id(c.v)
+            if v is None:
                 continue
-            v = id_of(c.v)
             if kind is ConstraintKind.VERTEX:
                 self.vertex.add(t * n + v)
                 self._last_vertex[v] = max(self._last_vertex.get(v, -1), t)
                 self.guarded.add(v)
-            elif in_bounds(c.u):
-                self.edge.add((t * n + id_of(c.u)) * n + v)
+                continue
+            u = cell_id(c.u)
+            if u is not None:
+                self.edge.add((t * n + u) * n + v)
                 self.guarded.add(v)
 
     @property
@@ -432,7 +436,7 @@ def _search(req: LowLevelRequest, two_phase: bool) -> LowLevelResult | None:
     lower bound the path already gives.
 
     A state is the single int s = t * N + v for cell id v at timestep t, with
-    N = len(grid.moves): the key `Occupancy` files cell v at t under, so
+    N = grid.num_passable(): the key `Occupancy` files cell v at t under, so
     the conflict count of a step probes the index's tables with the
     successor's own key, inline, and so does the `ConstraintTable` test of a
     step into a guarded cell. The cell id is s % N; heap entries carry -t

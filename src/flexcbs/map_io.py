@@ -3,17 +3,18 @@
 Cells are (row, col) tuples at every public boundary: instances, paths,
 constraints, conflicts and CLI output. Scenario files store (x, y) =
 (col, row) and are converted on ingestion. Inside the search kernel a cell is
-a flat id `row * width + col`: `GridMap.moves` is a list indexed by id, and
-so is the `dist` list of every distance table in a `lowlevel.Distances`
-cache, whose entries are settled lazily (None until the backward BFS
-reaches them). `GridMap.id_of`
-maps a cell to its id and `GridMap.cell_of` maps an id back to the grid's
-own cell tuple.
-A cell id v at timestep t is the space-time key `t * N + v`, with
-N = len(moves) = height * width (not width, which would alias a timestep's
-cells with the next's): the low-level search keys its states by it, and
-`lowlevel.Occupancy` and `lowlevel.ConstraintTable` their vertex and edge
-tables, which file a move u -> v arriving at t under `(t * N + u) * N + v`.
+an id: a passable cell's rank among the passable cells in row-major order,
+so ids run 0..N-1 with N = `GridMap.num_passable()` and a blocked cell has
+none. `GridMap.moves` is a list indexed by id, and so is the `dist` list of
+every distance table in a `lowlevel.Distances` cache, whose entries are
+settled lazily (None until the backward BFS reaches them). `GridMap.index`
+(or `id_of`) maps a passable cell to its id and `GridMap.cell_of` maps an id
+back to the grid's own cell tuple.
+A cell id v at timestep t is the space-time key `t * N + v` (N, not width,
+which would alias a timestep's cells with the next's): the low-level search
+keys its states by it, and `lowlevel.Occupancy` and
+`lowlevel.ConstraintTable` their vertex and edge tables, which file a move
+u -> v arriving at t under `(t * N + u) * N + v`.
 """
 
 from __future__ import annotations
@@ -39,14 +40,14 @@ class GridMap:
     height: int
     width: int
     passable: tuple[bool, ...]  # row-major, len == height * width
+    # passable cell -> its id; blocked and outside cells have none
+    index: dict[Cell, int] = field(init=False, compare=False, repr=False)
     # id -> the cell tuple with that id; kernel paths are rebuilt from these
     cell_of: tuple[Cell, ...] = field(init=False, compare=False, repr=False)
     # id -> (id, *neighbor ids): the moves of one timestep, waiting first,
-    # then up/down/left/right, the order that fixes search tie-breaking;
-    # () for a blocked cell
+    # then up/down/left/right, the order that fixes search tie-breaking
     moves: list[tuple[int, ...]] = field(init=False, compare=False,
                                          repr=False)
-    _num_passable: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.height < 1 or self.width < 1:
@@ -54,52 +55,50 @@ class GridMap:
         if len(self.passable) != self.height * self.width:
             raise ValueError("passable length does not match dimensions")
         height, width, passable = self.height, self.width, self.passable
+        flat = [i for i, ok in enumerate(passable) if ok]  # id -> flat index
+        rank = [-1] * len(passable)  # flat index -> id, -1 if blocked
+        for v, i in enumerate(flat):
+            rank[i] = v
         moves = []
-        for i, ok in enumerate(passable):
-            if not ok:
-                moves.append(())
-                continue
+        for v, i in enumerate(flat):
             r, c = divmod(i, width)
-            step = [i]
-            if r > 0 and passable[i - width]:
-                step.append(i - width)
-            if r < height - 1 and passable[i + width]:
-                step.append(i + width)
-            if c > 0 and passable[i - 1]:
-                step.append(i - 1)
-            if c < width - 1 and passable[i + 1]:
-                step.append(i + 1)
+            step = [v]
+            if r > 0 and rank[i - width] >= 0:
+                step.append(rank[i - width])
+            if r < height - 1 and rank[i + width] >= 0:
+                step.append(rank[i + width])
+            if c > 0 and rank[i - 1] >= 0:
+                step.append(rank[i - 1])
+            if c < width - 1 and rank[i + 1] >= 0:
+                step.append(rank[i + 1])
             moves.append(tuple(step))
-        object.__setattr__(self, "cell_of", tuple(
-            (r, c) for r in range(height) for c in range(width)))
+        cell_of = tuple(divmod(i, width) for i in flat)
+        object.__setattr__(self, "index",
+                           dict(zip(cell_of, range(len(cell_of)))))
+        object.__setattr__(self, "cell_of", cell_of)
         object.__setattr__(self, "moves", moves)
-        object.__setattr__(self, "_num_passable", sum(passable))
-
-    def in_bounds(self, cell: Cell) -> bool:
-        r, c = cell
-        return 0 <= r < self.height and 0 <= c < self.width
 
     def is_passable(self, cell: Cell) -> bool:
-        r, c = cell
-        return self.in_bounds(cell) and self.passable[r * self.width + c]
+        return cell in self.index
 
     def id_of(self, cell: Cell) -> int:
-        """Flat id of an in-bounds cell; an outside cell aliases another."""
-        r, c = cell
-        return r * self.width + c
+        """Id of a passable cell; a blocked or outside cell raises KeyError."""
+        return self.index[cell]
 
     def neighbors(self, cell: Cell) -> list[Cell]:
         """Passable 4-neighbors of a passable cell, in up/down/left/right order."""
-        if not self.is_passable(cell):
+        v = self.index.get(cell)
+        if v is None:
             raise ValueError(f"neighbors() called on blocked or out-of-bounds cell {cell}")
         cell_of = self.cell_of
-        return [cell_of[i] for i in self.moves[self.id_of(cell)][1:]]
+        return [cell_of[i] for i in self.moves[v][1:]]
 
     def passable_cells(self) -> list[Cell]:
-        return [self.cell_of[i] for i, ok in enumerate(self.passable) if ok]
+        """Every passable cell, in id (row-major) order."""
+        return list(self.cell_of)
 
     def num_passable(self) -> int:
-        return self._num_passable
+        return len(self.cell_of)
 
     def degree(self, cell: Cell) -> int:
         return len(self.neighbors(cell))
@@ -151,11 +150,11 @@ class Instance:
                         f"agent {agent.id}: target {agent.target} unreachable from {agent.start}")
 
     def _components(self) -> list[int]:
-        """Id -> label of its connected component; -1 for a blocked cell."""
+        """Id -> label of its connected component."""
         moves = self.map.moves
         label = [-1] * len(moves)
-        for root, step in enumerate(moves):
-            if not step or label[root] >= 0:
+        for root in range(len(moves)):
+            if label[root] >= 0:
                 continue
             label[root] = root  # a fresh label: the component's first id
             stack = [root]

@@ -26,7 +26,8 @@ def validate(paths: list[Path], instance: Instance) -> list[str]:
     """Every rule violation in the proposed solution, as human-readable lines.
 
     Checks path count, endpoints, passability, step continuity, and pairwise
-    vertex/edge conflicts with agents parking at their targets forever.
+    vertex/edge conflicts with agents parking at their targets forever. An
+    empty path is reported and left out of every other check.
     """
     violations = []
     grid = instance.map
@@ -36,6 +37,9 @@ def validate(paths: list[Path], instance: Instance) -> list[str]:
         return violations
     for agent in instance.agents:
         p = paths[agent.id]
+        if not p.cells:
+            violations.append(f"agent {agent.id}: empty path")
+            continue
         if p.cells[0] != agent.start:
             violations.append(f"agent {agent.id}: path starts at {p.cells[0]}, "
                               f"expected {agent.start}")
@@ -57,20 +61,22 @@ def validate(paths: list[Path], instance: Instance) -> list[str]:
 
 def _collisions(paths: list[Path]) -> list[tuple[int, int, int, str]]:
     """(i, j, t, line) for each vertex or edge conflict between agents i < j
-    at timestep t, agents parking at their last cell.
+    at timestep t, agents parking at their last cell; empty paths take no
+    part.
 
     One pass per timestep over a map from cell to the agents there: a pair
     shares a cell, or failing that, agent i moves into agent j's old cell
     while j moves into i's old cell.
     """
-    tracks = [p.cells for p in paths]
-    horizon = max((len(cells) - 1 for cells in tracks), default=0)
+    tracks = {i: p.cells for i, p in enumerate(paths) if p.cells}
+    horizon = max((len(cells) - 1 for cells in tracks.values()), default=0)
     out = []
     before = was = None  # the previous timestep's cells and cell map
     for t in range(horizon + 1):
-        now = [cells[t] if t < len(cells) else cells[-1] for cells in tracks]
+        now = {i: cells[t] if t < len(cells) else cells[-1]
+               for i, cells in tracks.items()}
         at: dict[Cell, list[int]] = {}
-        for i, cell in enumerate(now):
+        for i, cell in now.items():
             at.setdefault(cell, []).append(i)
         for cell, agents in at.items():
             for x, i in enumerate(agents):
@@ -78,7 +84,7 @@ def _collisions(paths: list[Path]) -> list[tuple[int, int, int, str]]:
                     out.append((i, j, t, f"vertex conflict: agents {i},{j} "
                                          f"at {cell} t={t}"))
         if before is not None:
-            for i, cell in enumerate(now):
+            for i, cell in now.items():
                 if cell == before[i]:
                     continue
                 for j in was.get(cell, ()):

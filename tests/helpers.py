@@ -43,8 +43,10 @@ def brute_steps(grid: GridMap, cell: Cell) -> list[Cell]:
     """The cell, then its passable up/down/left/right neighbors: the moves of
     one timestep, from the grid's bounds and passability alone."""
     r, c = cell
-    return [cell] + [nb for nb in ((r - 1, c), (r + 1, c), (r, c - 1),
-                                   (r, c + 1)) if grid.is_passable(nb)]
+    return [cell] + [(r2, c2) for r2, c2 in ((r - 1, c), (r + 1, c),
+                                             (r, c - 1), (r, c + 1))
+                     if 0 <= r2 < grid.height and 0 <= c2 < grid.width
+                     and grid.passable[r2 * grid.width + c2]]
 
 
 def brute_distances(grid: GridMap, target: Cell,

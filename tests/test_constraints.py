@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 from flexcbs.constraints import (Constraint, ConstraintKind, Path,
                                  edge_constraint, estimate_delays, length_gt,
                                  length_leq, vertex_constraint)
-from flexcbs.lowlevel import ConstraintTable
+from flexcbs.lowlevel import (ConstraintTable, Distances, LowLevelRequest,
+                              Occupancy, fastar_search, focal_search)
 from helpers import brute_steps, open_grid, small_grids
 
 
@@ -193,6 +195,60 @@ class TestKeyedTableMatchesCellRules:
                     assert barred_move == edge_blocked(u_cell, v_cell, t)
                     if barred or barred_move:
                         assert v in table.guarded
+
+
+class TestBlockedCellConstraints:
+    @settings(max_examples=200, deadline=None)
+    @given(problem=keyed_tables(), data=st.data())
+    def test_bar_nothing_as_off_the_grid(self, problem, data):
+        """VERTEX and EDGE constraints on blocked cells inside the grid are
+        dropped, as the same constraints off the grid are: the kernel never
+        enters such a cell. They change no table, hold time or search, but
+        still raise latest_constraint_t."""
+        grid, cs, targets = problem
+        every = [(r, c) for r in range(grid.height) for c in range(grid.width)]
+        blocked = [cell for cell in every if not grid.is_passable(cell)]
+        assume(blocked)
+        cells = grid.passable_cells()
+        wall, open_cell = st.sampled_from(blocked), st.sampled_from(cells)
+        extra = data.draw(st.lists(st.one_of(
+            st.builds(vertex_constraint, st.just(0), wall, st.integers(0, 9)),
+            st.builds(edge_constraint, st.just(0), wall, open_cell,
+                      st.integers(1, 9)),
+            st.builds(edge_constraint, st.just(0), open_cell, wall,
+                      st.integers(1, 9)),
+            st.builds(edge_constraint, st.just(0), wall, wall,
+                      st.integers(1, 9))), min_size=1, max_size=4))
+        outside = (grid.height, 0)
+        off_grid = [replace(c, v=outside if c.v in blocked else c.v,
+                            u=outside if c.u in blocked else c.u)
+                    for c in extra]
+        base = ConstraintTable(grid, 0, cs, targets)
+        walled = ConstraintTable(grid, 0, cs + extra, targets)
+        off = ConstraintTable(grid, 0, cs + off_grid, targets)
+        for table in (walled, off):
+            assert table.vertex == base.vertex
+            assert table.edge == base.edge
+            assert table.guarded == base.guarded
+            assert table.blocked_from == base.blocked_from
+            assert all(table.hold_time(v) == base.hold_time(v)
+                       for v in range(grid.num_passable()))
+            assert table.latest_constraint_t == max(
+                base.latest_constraint_t, *(c.t for c in extra))
+        # the search horizon grows with latest_constraint_t, so the searches
+        # compare against the base constraints plus a LENGTH_LEQ of agent 4,
+        # which has no target: it bars nothing and sets the same horizon
+        level = ConstraintTable(
+            grid, 0, cs + [length_leq(4, walled.latest_constraint_t)],
+            targets)
+        start, goal = data.draw(open_cell), data.draw(open_cell)
+        tables = Distances(grid)
+        for search in (focal_search, fastar_search):
+            want, *got = (search(LowLevelRequest(
+                grid=grid, agent=0, start=start, goal=goal, ctable=table,
+                occupancy=Occupancy(grid), tables=tables, w=1.5))
+                for table in (level, walled, off))
+            assert got == [want, want]
 
 
 class TestEstimateDelays:

@@ -86,17 +86,26 @@ class TestGrid:
     @settings(max_examples=200, deadline=None)
     @given(grid=small_grids())
     def test_move_table_matches_cell_neighbors(self, grid):
-        for i, cell in enumerate(grid.cell_of):
+        """Ids number the passable cells in row-major order, and only them:
+        a blocked cell, or one outside the grid, has no id and never aliases
+        another (an id of r * width + c would read (0, width) as (1, 0))."""
+        height, width = grid.height, grid.width
+        every = [(r, c) for r in range(height) for c in range(width)]
+        cells = [cell for i, cell in enumerate(every) if grid.passable[i]]
+        assert list(grid.cell_of) == grid.passable_cells() == cells
+        for i, cell in enumerate(cells):
             assert grid.id_of(cell) == i
-            if grid.is_passable(cell):
-                steps = [grid.cell_of[j] for j in grid.moves[i]]
-                assert steps == brute_steps(grid, cell)
-                assert grid.neighbors(cell) == steps[1:]
-            else:
-                assert grid.moves[i] == ()
-        assert len(grid.moves) == grid.height * grid.width
-        assert grid.num_passable() == len(grid.passable_cells())
-        assert grid.num_passable() == sum(grid.passable)
+            assert grid.cell_of[grid.id_of(cell)] == cell
+            steps = [grid.cell_of[j] for j in grid.moves[i]]
+            assert steps == brute_steps(grid, cell)
+            assert grid.neighbors(cell) == steps[1:]
+        blocked = [cell for cell in every if cell not in cells]
+        for cell in blocked + [(0, width), (-1, 0)]:
+            assert not grid.is_passable(cell)
+            with pytest.raises(KeyError):
+                grid.id_of(cell)
+        assert len(grid.moves) == grid.num_passable() == len(cells)
+        assert () not in grid.moves
 
     def test_neighbor_symmetry(self):
         rng = random.Random(1)

@@ -57,6 +57,21 @@ class TestValidate:
         bad = [Path(0, ((0, 0), (0, 1), (0, 0)))]
         assert any("blocked" in v for v in validate(bad, inst))
 
+    def test_empty_path_reported_and_left_out(self):
+        """An empty path is one violation; the other agents' paths are still
+        checked, and their conflicts keep their agent ids."""
+        grid = open_grid(2, 2)
+        inst = Instance(grid, (AgentSpec(0, (0, 0), (0, 0)),
+                               AgentSpec(1, (0, 1), (1, 0)),
+                               AgentSpec(2, (1, 0), (1, 1))))
+        good = [Path(1, ((0, 1), (0, 0), (1, 0))), Path(2, ((1, 0), (1, 1)))]
+        assert validate([Path(0, ()), *good], inst) == ["agent 0: empty path"]
+        bad = [Path(0, ()), Path(1, ((0, 1), (1, 1), (1, 0))),
+               Path(2, ((1, 0), (1, 1)))]
+        assert validate(bad, inst) == [
+            "agent 0: empty path",
+            "vertex conflict: agents 1,2 at (1, 1) t=1"]
+
     def test_vertex_conflict_reported(self):
         grid = open_grid(2, 2)
         inst = Instance(grid, (AgentSpec(0, (0, 0), (1, 0)),
