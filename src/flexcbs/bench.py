@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import sys
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
+from itertools import combinations
 
 from .cli import (EXIT_USAGE, UsageParser, factor_at_least_one, positive_int,
                   positive_seconds)
@@ -31,62 +32,36 @@ def flex_histogram(values: list[float]) -> list[float]:
     """Bucketed flex-usage percentages over [0,1),[1,2),[2,5),[5,10),[10,20),[20,inf)."""
     counts = [0] * 6
     for v in values:
-        for idx in range(5):
-            if HIST_EDGES[idx] <= v < HIST_EDGES[idx + 1]:
-                counts[idx] += 1
-                break
-        else:
-            counts[5] += 1
-    total = sum(counts)
-    if total == 0:
+        # a value >= 20 or NaN bisects to 6 and a negative one to 0, so both
+        # land in the last bucket, the negative one through index -1
+        counts[bisect_right(HIST_EDGES, v) - 1] += 1
+    if not values:
         return [0.0] * 6
-    return [100.0 * c / total for c in counts]
+    return [100.0 * c / len(values) for c in counts]
 
 
 @dataclass
 class ResultRow:
+    """One run of a sweep: its instance, its own config and its metrics."""
     instance_id: str
     k: int
-    w: float
-    mode: str
-    lowlevel: str
-    outcome: str
-    soc: int | None
-    lb0: float
-    lb_final: float
-    subopt: float | None
-    runtime: float
-    generated: int
-    expanded: int
-    depth: int
-    gb_ratio: float
-    lbi: float
-    hist: list[float] = field(default_factory=lambda: [0.0] * 6)
+    config: SolverConfig
+    metrics: RunMetrics
 
-    @classmethod
-    def from_metrics(cls, instance_id: str, k: int, config: SolverConfig,
-                     metrics: RunMetrics) -> "ResultRow":
-        subopt = None
-        if metrics.outcome == "solved" and metrics.lb_final > 0:
-            subopt = metrics.soc / metrics.lb_final
-        return cls(
-            instance_id=instance_id, k=k, w=config.w,
-            mode=config.flex_mode.value, lowlevel=config.low_level,
-            outcome=metrics.outcome, soc=metrics.soc, lb0=metrics.lb0,
-            lb_final=metrics.lb_final, subopt=subopt,
-            runtime=metrics.wall_time, generated=metrics.generated,
-            expanded=metrics.expanded, depth=metrics.depth,
-            gb_ratio=metrics.gb_ratio, lbi=metrics.lbi,
-            hist=flex_histogram(metrics.flex_usage_values()))
+    @property
+    def mode(self) -> str:
+        return self.config.flex_mode.value
 
     def to_csv_values(self) -> list:
-        base = [self.instance_id, self.k, self.w, self.mode, self.lowlevel,
-                self.outcome, self.soc if self.soc is not None else "",
-                self.lb0, self.lb_final,
-                round(self.subopt, 6) if self.subopt is not None else "",
-                round(self.runtime, 4), self.generated, self.expanded,
-                self.depth, round(self.gb_ratio, 6), round(self.lbi, 6)]
-        return base + [round(h, 3) for h in self.hist]
+        c, m = self.config, self.metrics
+        subopt = m.subopt
+        base = [self.instance_id, self.k, c.w, self.mode, c.low_level,
+                m.outcome, m.soc if m.soc is not None else "", m.lb0,
+                m.lb_final, round(subopt, 6) if subopt is not None else "",
+                round(m.wall_time, 4), m.generated, m.expanded, m.depth,
+                round(m.gb_ratio, 6), round(m.lbi, 6)]
+        hist = flex_histogram(m.flex_usage_values())
+        return base + [round(h, 3) for h in hist]
 
 
 @dataclass
@@ -105,8 +80,14 @@ class BenchSpec:
     def __post_init__(self):
         if not self.map_path or not self.scen_paths:
             raise ValueError("map and at least one scenario are required")
-        if not all(w >= 1.0 for w in self.w_values):  # also rejects NaN
-            raise ValueError("all w values must be >= 1")
+        # one config per (w, mode) in run order; SolverConfig rejects a bad
+        # w, mode, low level or time limit here, before any file is opened
+        self.configs = [
+            SolverConfig(w=w, flex_mode=FlexMode(mode),
+                         low_level=self.low_level, time_limit=self.time_limit)
+            for w in self.w_values for mode in self.flex_modes]
+        if not (self.agent_counts and self.configs):
+            raise ValueError("a sweep needs an agent count, a w and a mode")
 
 
 def _load_sweep(spec: BenchSpec) -> list[tuple[str, int, Instance]]:
@@ -139,22 +120,15 @@ def run_benchmark(spec: BenchSpec) -> list[ResultRow]:
         writer.writerow(CSV_COLUMNS)
     try:
         for scen, k, instance in sweep:
-            for w in spec.w_values:
-                for mode in spec.flex_modes:
-                    config = SolverConfig(
-                        w=w, flex_mode=FlexMode(mode),
-                        low_level=spec.low_level, time_limit=spec.time_limit)
-                    result = Solver(instance, config).solve()
-                    outcome = result.outcome
-                    if result.paths is not None:
-                        if validate(result.paths, instance):
-                            outcome = "invalid"
-                    result.metrics.outcome = outcome
-                    row = ResultRow.from_metrics(f"{scen}:{k}", k, config,
-                                                 result.metrics)
-                    rows.append(row)
-                    if writer is not None:
-                        writer.writerow(row.to_csv_values())
+            for config in spec.configs:
+                result = Solver(instance, config).solve()
+                if result.paths is not None and validate(result.paths,
+                                                         instance):
+                    result.metrics.outcome = "invalid"
+                row = ResultRow(f"{scen}:{k}", k, config, result.metrics)
+                rows.append(row)
+                if writer is not None:
+                    writer.writerow(row.to_csv_values())
     finally:
         if csv_file is not None:
             csv_file.close()
@@ -167,14 +141,19 @@ def run_benchmark(spec: BenchSpec) -> list[ResultRow]:
     return rows
 
 
+def _group(rows: list[ResultRow], key) -> list[tuple]:
+    """(key, rows with that key in run order) for each key, keys sorted."""
+    groups: dict = {}
+    for row in rows:
+        groups.setdefault(key(row), []).append(row)
+    return sorted(groups.items())
+
+
 def summarize(rows: list[ResultRow]) -> dict:
     """Per-(mode, w) success rates, plus overall counts."""
-    groups: dict[tuple, list[ResultRow]] = {}
-    for row in rows:
-        groups.setdefault((row.mode, row.w), []).append(row)
     out = {"configs": []}
-    for (mode, w), grp in sorted(groups.items()):
-        solved = sum(1 for r in grp if r.outcome == "solved")
+    for (mode, w), grp in _group(rows, lambda r: (r.mode, r.config.w)):
+        solved = sum(r.metrics.outcome == "solved" for r in grp)
         out["configs"].append({
             "mode": mode, "w": w, "runs": len(grp), "solved": solved,
             "success_rate": solved / len(grp)})
@@ -183,53 +162,38 @@ def summarize(rows: list[ResultRow]) -> dict:
 
 
 def emit_plot_data(rows: list[ResultRow]) -> dict:
-    """Plain numeric series for external plotting tools."""
+    """Plain numeric series for external plotting tools; a mean over no runs
+    is None, written as JSON null."""
     if not rows:
         raise ValueError("no rows to aggregate")
-    modes = sorted({r.mode for r in rows})
-
-    def by(pred):
-        return [r for r in rows if pred(r)]
-
     success_vs_k = {}
     gb_vs_k = {}
     depth_expansion = {}
     lbi_box = {}
     flex_hist = {}
-    for mode in modes:
-        mrows = by(lambda r, m=mode: r.mode == m)
-        ks = sorted({r.k for r in mrows})
+    subopts = {}  # mode -> ((instance_id, w), SOC/LB) per solved run
+    for mode, mrows in _group(rows, lambda r: r.mode):
+        by_k = _group(mrows, lambda r: r.k)
         success_vs_k[mode] = [
-            [k, sum(1 for r in mrows if r.k == k and r.outcome == "solved")
-             / max(1, sum(1 for r in mrows if r.k == k))] for k in ks]
-        gb_vs_k[mode] = [
-            [k, _mean([r.gb_ratio for r in mrows if r.k == k])] for k in ks]
+            [k, sum(r.metrics.outcome == "solved" for r in g) / len(g)]
+            for k, g in by_k]
+        gb_vs_k[mode] = [[k, _mean([r.metrics.gb_ratio for r in g])]
+                         for k, g in by_k]
         depth_expansion[mode] = [
-            [k, _mean([r.depth / r.expanded for r in mrows
-                       if r.k == k and r.expanded > 0])] for k in ks]
-        lbi_box[mode] = [r.lbi for r in mrows]
-        sums = [0.0] * 6
-        for r in mrows:
-            for idx, v in enumerate(r.hist):
-                sums[idx] += v
-        n = len(mrows)
-        flex_hist[mode] = [s / n for s in sums] if n else sums
+            [k, _mean([r.metrics.depth_expansion_ratio for r in g
+                       if r.metrics.expanded > 0])] for k, g in by_k]
+        lbi_box[mode] = [r.metrics.lbi for r in mrows]
+        hists = [flex_histogram(r.metrics.flex_usage_values()) for r in mrows]
+        flex_hist[mode] = [sum(col) / len(mrows) for col in zip(*hists)]
+        subopts[mode] = [((r.instance_id, r.config.w), r.metrics.subopt)
+                         for r in mrows if r.metrics.subopt is not None]
 
+    # each pair of modes compares runs of the same instance at the same w
     scatter = {}
-    for a in modes:
-        for b in modes:
-            if a >= b:
-                continue
-            pairs = []
-            index_a = {r.instance_id: r for r in rows
-                       if r.mode == a and r.outcome == "solved"}
-            for r in rows:
-                if r.mode == b and r.outcome == "solved":
-                    other = index_a.get(r.instance_id)
-                    if other is not None and other.subopt is not None \
-                            and r.subopt is not None:
-                        pairs.append([other.subopt, r.subopt])
-            scatter[f"{a}_vs_{b}"] = pairs
+    for a, b in combinations(subopts, 2):
+        of_a = dict(subopts[a])
+        scatter[f"{a}_vs_{b}"] = [[of_a[key], s] for key, s in subopts[b]
+                                  if key in of_a]
 
     return {"success_rate_vs_k": success_vs_k,
             "gb_ratio_vs_k": gb_vs_k,
@@ -239,8 +203,8 @@ def emit_plot_data(rows: list[ResultRow]) -> dict:
             "flex_usage_histogram": flex_hist}
 
 
-def _mean(values: list[float]) -> float:
-    return sum(values) / len(values) if values else math.nan
+def _mean(values: list[float]) -> float | None:
+    return sum(values) / len(values) if values else None
 
 
 def main(argv=None) -> int:
@@ -269,7 +233,7 @@ def main(argv=None) -> int:
     except (MapFormatError, InstanceError, OSError) as exc:
         print(f"flexcbs-bench: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    solved = sum(1 for r in rows if r.outcome == "solved")
+    solved = sum(r.metrics.outcome == "solved" for r in rows)
     print(f"{len(rows)} runs, {solved} solved -> {args.out_csv}")
     return 0
 

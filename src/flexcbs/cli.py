@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .flex import FlexMode
@@ -35,10 +36,10 @@ def positive_int(text: str) -> int:
 
 
 def factor_at_least_one(text: str) -> float:
-    """argparse type for --suboptimality: a number of at least 1, not NaN."""
+    """argparse type for --suboptimality: a finite number of at least 1."""
     w = float(text)
-    if not w >= 1.0:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    if not 1.0 <= w < math.inf:  # also rejects NaN
+        raise argparse.ArgumentTypeError(f"must be finite and >= 1, got {text}")
     return w
 
 

@@ -42,8 +42,8 @@ class SolverConfig:
     time_limit: float = 60.0
 
     def __post_init__(self):
-        if not self.w >= 1.0:  # also rejects NaN
-            raise ValueError("suboptimality factor must be >= 1")
+        if not 1.0 <= self.w < INF:  # also rejects NaN
+            raise ValueError("suboptimality factor must be finite and >= 1")
         if self.low_level not in ("focal", "fastar"):
             raise ValueError(f"unknown low-level variant {self.low_level!r}")
         if not self.time_limit > 0:  # also rejects NaN
@@ -105,6 +105,13 @@ class RunMetrics:
     @property
     def lbi(self) -> float:
         return (self.lb_final - self.lb0) / self.lb0 if self.lb0 else 0.0
+
+    @property
+    def subopt(self) -> float | None:
+        """SOC / final LB of a solved run; None for any other outcome."""
+        if self.outcome == "solved" and self.lb_final > 0:
+            return self.soc / self.lb_final
+        return None
 
     def flex_usage_values(self) -> list[float]:
         """Positive flex usages from replans where the max flex was usable."""
@@ -292,16 +299,11 @@ class Solver:
                     constraint: Constraint) -> list[int]:
         if constraint.kind is not ConstraintKind.LENGTH_LEQ:
             return [agent]
+        # targets are distinct, so a path parked past its end never sits on
+        # another agent's target: only its own cells from t on can
         tgt = self.targets[constraint.agent]
-        out = []
-        for m in range(self.k):
-            if m == constraint.agent:
-                continue
-            path = node_paths[m]
-            horizon = max(path.cost, constraint.t)
-            if any(path.at(t) == tgt for t in range(constraint.t, horizon + 1)):
-                out.append(m)
-        return out
+        return [m for m in range(self.k) if m != constraint.agent
+                and tgt in node_paths[m].cells[constraint.t:]]
 
     def _compute_flex(self, lbs: list[float], paths: list[Path], agent: int,
                       parent: CTNode, delay_sum: int,

@@ -43,6 +43,10 @@ class TestFlexHistogram:
         hist = flex_histogram([0.1, 4.0, 4.9, 11.0, 30.0])
         assert math.isclose(sum(hist), 100.0)
 
+    def test_negatives_and_nan_fall_in_the_last_bucket(self):
+        assert flex_histogram([-0.5, math.nan, 19.999, math.inf]) == [
+            0.0, 0.0, 0.0, 0.0, 25.0, 75.0]
+
 
 class TestResultRow:
     def metrics(self, outcome="solved"):
@@ -55,19 +59,47 @@ class TestResultRow:
         return m
 
     def test_suboptimality_ratio(self):
-        row = ResultRow.from_metrics("i", 2, SolverConfig(w=1.05),
-                                     self.metrics())
-        assert math.isclose(row.subopt, 21 / 20)
+        row = ResultRow("i", 2, SolverConfig(w=1.05), self.metrics())
+        assert math.isclose(row.metrics.subopt, 21 / 20)
 
     def test_no_ratio_without_solution(self):
-        row = ResultRow.from_metrics("i", 2, SolverConfig(w=1.05),
-                                     self.metrics(outcome="timeout"))
-        assert row.subopt is None
+        row = ResultRow("i", 2, SolverConfig(w=1.05),
+                        self.metrics(outcome="timeout"))
+        assert row.metrics.subopt is None
 
     def test_csv_values_match_schema(self):
-        row = ResultRow.from_metrics("i", 2, SolverConfig(w=1.05),
-                                     self.metrics())
+        row = ResultRow("i", 2, SolverConfig(w=1.05), self.metrics())
         assert len(row.to_csv_values()) == len(CSV_COLUMNS)
+
+    def test_pinned_schema_v1_row(self):
+        m = RunMetrics(outcome="solved", generated=7, expanded=3, depth=2,
+                       gb_generated=2)
+        m.soc, m.lb0, m.lb_final = 22, 18.0, 21.0
+        m.wall_time = 0.123456789
+        # usages 0.5, 3.0 and 25.0 count; the negative-slack replan and the
+        # zero usage do not
+        m.flex_records = [(1.0, 0.5, True), (2.0, 3.0, True),
+                          (1.0, 25.0, True), (0.0, 4.0, False),
+                          (0.5, 0.0, True)]
+        row = ResultRow("scen:3", 3, SolverConfig(w=1.1, flex_mode="mfd",
+                                                  low_level="fastar"), m)
+        assert row.to_csv_values() == [
+            "scen:3", 3, 1.1, "mfd", "fastar", "solved", 22, 18.0, 21.0,
+            1.047619, 0.1235, 7, 3, 2, 0.285714, 0.166667,
+            33.333, 0.0, 33.333, 0.0, 0.0, 33.333]
+
+    @pytest.mark.parametrize("outcome", ["timeout", "invalid"])
+    def test_pinned_row_without_solution(self, outcome):
+        m = RunMetrics(outcome=outcome, generated=4, expanded=3, depth=4)
+        m.lb0, m.lb_final = 12.0, 13.0
+        if outcome == "invalid":
+            m.soc = 14  # a solution that failed validation keeps its SOC
+        m.wall_time = 2.00004
+        row = ResultRow("s:2", 2, SolverConfig(), m)
+        assert row.to_csv_values() == [
+            "s:2", 2, 1.05, "none", "focal", outcome,
+            14 if outcome == "invalid" else "", 12.0, 13.0, "", 2.0, 4, 3,
+            4, 0.0, 0.083333, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
 
 
 class TestBenchSpec:
@@ -84,6 +116,19 @@ class TestBenchSpec:
             BenchSpec(map_path="m", scen_paths=["s"], agent_counts=[2],
                       w_values=[0.5], flex_modes=["none"])
 
+    @pytest.mark.parametrize("bad", [dict(flex_modes=["turbo"]),
+                                     dict(time_limit=0),
+                                     dict(low_level="astar"),
+                                     dict(w_values=[1.0, math.inf]),
+                                     dict(flex_modes=[]),
+                                     dict(agent_counts=[])])
+    def test_rejects_bad_settings(self, bad):
+        kwargs = dict(map_path="m", scen_paths=["s"], agent_counts=[2],
+                      w_values=[1.0], flex_modes=["none"])
+        kwargs.update(bad)
+        with pytest.raises(ValueError):
+            BenchSpec(**kwargs)
+
 
 class TestRunBenchmark:
     def spec(self, bench_files, **kwargs):
@@ -97,8 +142,8 @@ class TestRunBenchmark:
     def test_rows_cover_the_sweep(self, bench_files):
         rows = run_benchmark(self.spec(bench_files))
         assert len(rows) == 4
-        assert all(r.outcome == "solved" for r in rows)
-        assert all(r.soc <= r.w * 6 for r in rows)
+        assert all(r.metrics.outcome == "solved" for r in rows)
+        assert all(r.metrics.soc <= r.config.w * 6 for r in rows)
 
     def test_csv_output_format(self, bench_files, tmp_path):
         out = tmp_path / "results.csv"
@@ -136,14 +181,46 @@ class TestRunBenchmark:
                               "flex_usage_histogram"}
         assert plots["success_rate_vs_k"]["mfd"] == [[2, 1.0]]
 
+    @pytest.mark.parametrize("bad", [dict(flex_modes=["turbo"]),
+                                     dict(time_limit=0),
+                                     dict(low_level="astar"),
+                                     dict(flex_modes=[])])
+    def test_bad_setting_leaves_no_csv(self, bench_files, tmp_path, bad):
+        out = tmp_path / "results.csv"
+        with pytest.raises(ValueError):
+            run_benchmark(self.spec(bench_files, out_csv=str(out), **bad))
+        assert not out.exists()
+
+    def test_conflict_free_sweep_writes_strict_json(self, bench_files,
+                                                    tmp_path):
+        map_path, _ = bench_files
+        scen_path = tmp_path / "apart.scen"
+        # two agents on rows 0 and 2 never meet, so no CT node is expanded
+        scen_path.write_text("version 1\n"
+                             "0\ttiny.map\t3\t3\t0\t0\t2\t0\t2\n"
+                             "0\ttiny.map\t3\t3\t0\t2\t2\t2\t2\n")
+        summary_path = tmp_path / "summary.json"
+        plots_path = tmp_path / "plots.json"
+        run_benchmark(self.spec((map_path, str(scen_path)),
+                                out_summary=str(summary_path),
+                                out_plots=str(plots_path)))
+
+        def reject(name):
+            raise ValueError(f"not JSON: {name}")
+
+        json.loads(summary_path.read_text(), parse_constant=reject)
+        plots = json.loads(plots_path.read_text(), parse_constant=reject)
+        assert plots["depth_expansion_ratio_vs_k"] == {"mfd": [[2, None]],
+                                                       "none": [[2, None]]}
+
 
 class TestSummarize:
     def test_groups_by_mode_and_w(self):
         m = RunMetrics(outcome="solved")
         m.soc, m.lb_final, m.lb0 = 6, 6.0, 6.0
-        a = ResultRow.from_metrics("x", 2, SolverConfig(w=1.0), m)
+        a = ResultRow("x", 2, SolverConfig(w=1.0), m)
         t = RunMetrics(outcome="timeout")
-        b = ResultRow.from_metrics("y", 2, SolverConfig(w=1.0), t)
+        b = ResultRow("y", 2, SolverConfig(w=1.0), t)
         out = summarize([a, b])
         assert out["configs"] == [{"mode": "none", "w": 1.0, "runs": 2,
                                    "solved": 1, "success_rate": 0.5}]
@@ -160,9 +237,20 @@ class TestEmitPlotData:
             m = RunMetrics(outcome="solved")
             m.soc, m.lb_final, m.lb0 = soc, 6.0, 6.0
             cfg = SolverConfig(w=1.5, flex_mode=mode)
-            rows.append(ResultRow.from_metrics("shared", 2, cfg, m))
+            rows.append(ResultRow("shared", 2, cfg, m))
         scatter = emit_plot_data(rows)["suboptimality_scatter"]
         assert scatter["gfd_vs_mfd"] == [[1.0, 8 / 6]]
+
+    def test_scatter_pairs_same_w(self):
+        rows = []
+        for mode, socs in (("gfd", (6, 7)), ("mfd", (6, 8))):
+            for w, soc in zip((1.0, 1.5), socs):
+                m = RunMetrics(outcome="solved")
+                m.soc, m.lb_final, m.lb0 = soc, 6.0, 6.0
+                cfg = SolverConfig(w=w, flex_mode=mode)
+                rows.append(ResultRow("shared", 2, cfg, m))
+        scatter = emit_plot_data(rows)["suboptimality_scatter"]
+        assert scatter == {"gfd_vs_mfd": [[1.0, 1.0], [7 / 6, 8 / 6]]}
 
 
 class TestMain:

@@ -46,6 +46,11 @@ class TestUsageErrors:
             main(base_args(files) + ["--suboptimality", "nan"])
         assert exc.value.code == 64
 
+    def test_infinite_suboptimality(self, files):
+        with pytest.raises(SystemExit) as exc:
+            main(base_args(files) + ["--suboptimality", "inf"])
+        assert exc.value.code == 64
+
     def test_nan_time_limit(self, files):
         with pytest.raises(SystemExit) as exc:
             main(base_args(files) + ["--time-limit", "nan"])
