@@ -1,4 +1,5 @@
-"""Conflict detection, priority classification, and target reasoning.
+"""Conflict detection, the choice of the conflict to split, priority
+classification, and target reasoning.
 
 Target conflicts split into a LENGTH_GT/LENGTH_LEQ pair on the agent whose
 target is contested; other vertex/edge conflicts split into the usual
@@ -16,6 +17,8 @@ from .constraints import (BY_PAIR, Conflict, ConflictClass, Constraint, Path,
                           vertex_constraint)
 from .lowlevel import ConstraintTable, Distances, Occupancy, earliest_arrival
 from .map_io import Cell, GridMap
+
+MAX_CLASSIFIED_CONFLICTS = 8  # bounded classification effort per node
 
 
 # Nothing in this package builds one; kept until the benchmark drops its hook.
@@ -80,20 +83,18 @@ def find_corridor(grid: GridMap, v: Cell) -> Corridor | None:
 
 
 class Classifier:
-    """Assigns priority classes; needs the agents' `targets` and node
-    context (paths, constraints, blocks).
+    """Chooses a CT node's conflict and assigns priority classes; needs the
+    agents' `targets` and node context (paths, constraints, blocks).
 
     With `symmetry` a conflict at a finished agent's target is a TARGET
     conflict; otherwise, with `prioritize`, cardinality probes rank it. The
-    probes read the table to the agent's target from `tables`, the grid's
-    `Distances` cache, shared with the owner. One Classifier serves one
-    Solver: its probe verdicts are kept for its life.
+    probes read the grid and the table to the agent's target from `tables`,
+    the grid's `Distances` cache, shared with the owner. One Classifier
+    serves one Solver: its probe verdicts are kept for its life.
     """
 
-    def __init__(self, grid: GridMap, targets: dict[int, Cell],
-                 tables: Distances, symmetry: bool = True,
-                 prioritize: bool = True):
-        self.grid = grid
+    def __init__(self, targets: dict[int, Cell], tables: Distances,
+                 symmetry: bool = True, prioritize: bool = True):
         self.targets = targets
         self.symmetry = symmetry
         self.prioritize = prioritize
@@ -101,6 +102,17 @@ class Classifier:
         # (agent, id of its constraint tuple, binding blocks, split, cost)
         # -> (that tuple, verdict); holding the tuple keeps its id from reuse
         self._verdicts: dict[tuple, tuple[tuple[Constraint, ...], bool]] = {}
+
+    def choose(self, conflicts: list[Conflict], paths: list[Path],
+               constraints: list[tuple[Constraint, ...]],
+               blocks: tuple[Constraint, ...]) -> Conflict:
+        """The conflict to split: the best of the first few by `sort_key`,
+        which is unique in a node's list, so the list's order is moot."""
+        ordered = sorted(conflicts, key=Conflict.sort_key)
+        if not (self.prioritize or self.symmetry):
+            return ordered[0]
+        return pick_conflict([self.classify(c, paths, constraints, blocks)
+                              for c in ordered[:MAX_CLASSIFIED_CONFLICTS]])
 
     def classify(self, conflict: Conflict, paths: list[Path],
                  constraints: list[tuple[Constraint, ...]],
@@ -152,10 +164,10 @@ class Classifier:
         if known is not None:
             return known[1]
         ctable = ConstraintTable(
-            self.grid, agent, [*own, *binding, extra, length_leq(agent, cost)],
-            self.targets)
-        forced = earliest_arrival(self.grid, ctable, start,
-                                  self.targets[agent], self.tables) is None
+            self.tables.grid, agent,
+            [*own, *binding, extra, length_leq(agent, cost)], self.targets)
+        forced = earliest_arrival(ctable, start, self.targets[agent],
+                                  self.tables) is None
         self._verdicts[key] = (own, forced)
         return forced
 

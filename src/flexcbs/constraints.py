@@ -55,7 +55,7 @@ class Conflict:
                 max(self.a_i, self.a_j))
 
 
-BY_PAIR = attrgetter("a_i", "a_j", "t")  # the order conflict lists are kept in
+BY_PAIR = attrgetter("a_i", "a_j", "t")  # the order conflict scans return
 
 
 class ConstraintKind(Enum):

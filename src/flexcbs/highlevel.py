@@ -15,12 +15,10 @@ import time
 from dataclasses import dataclass, field
 
 from . import flex as flexmod
-from .conflicts import (Classifier, Conflict, ConflictClass, pick_conflict,
-                        split_conflict)
+from .conflicts import Classifier, Conflict, ConflictClass, split_conflict
 # No solve calls it; kept because the benchmark's tracer wraps this name.
 from .conflicts import detect_conflicts  # noqa: F401
-from .constraints import (BY_PAIR, Constraint, ConstraintKind, Path,
-                          estimate_delays)
+from .constraints import Constraint, ConstraintKind, Path, estimate_delays
 from .flex import FlexMode
 from .lowlevel import (ConstraintTable, Distances, LowLevelRequest, Occupancy,
                        compute_h, fastar_search, focal_search)
@@ -28,7 +26,6 @@ from .map_io import Instance
 
 INF = math.inf
 EPS = 1e-6
-MAX_CLASSIFIED_CONFLICTS = 8  # bounded classification effort per node
 
 
 @dataclass
@@ -121,9 +118,12 @@ class RunMetrics:
 
 @dataclass
 class SolveResult:
-    outcome: str  # "solved" | "timeout" | "infeasible"
     paths: list[Path] | None
     metrics: RunMetrics
+
+    @property
+    def outcome(self) -> str:  # "solved" | "timeout" | "infeasible"
+        return self.metrics.outcome
 
 
 class Frontier:
@@ -207,7 +207,7 @@ class Solver:
         self.tables = Distances(self.grid, {
             a.target: compute_h(self.grid, a.target, a.start, config.w)
             for a in instance.agents})
-        self.classifier = Classifier(self.grid, self.targets, self.tables,
+        self.classifier = Classifier(self.targets, self.tables,
                                      symmetry=config.symmetry,
                                      prioritize=config.prioritize)
         # the paths of the CT node being worked on, but for the agent being
@@ -244,10 +244,9 @@ class Solver:
     def _plan(self, agent: int, ctable: ConstraintTable, occupancy: Occupancy,
               delta: float, lb_parent: float):
         req = LowLevelRequest(
-            grid=self.grid, agent=agent, start=self.starts[agent],
-            goal=self.targets[agent], ctable=ctable, occupancy=occupancy,
-            w=self.config.w, delta=delta, lb_parent=lb_parent,
-            tables=self.tables)
+            start=self.starts[agent], goal=self.targets[agent], ctable=ctable,
+            occupancy=occupancy, w=self.config.w, delta=delta,
+            lb_parent=lb_parent, tables=self.tables)
         search = fastar_search if self.config.low_level == "fastar" else focal_search
         result = search(req)
         if result is not None:
@@ -278,22 +277,12 @@ class Solver:
             occ.add(result.path)
             paths.append(result.path)
             lbs.append(result.lb)
-        conflicts.sort(key=BY_PAIR)
         root = CTNode(constraints=constraints, blocks=(), paths=paths, lbs=lbs,
                       conflicts=conflicts, depth=0, seq=self._next_seq())
         self._set_fhat(root)
         return root
 
     # ---------------- expansion ----------------
-
-    def _choose_conflict(self, node: CTNode) -> Conflict:
-        ordered = sorted(node.conflicts, key=Conflict.sort_key)
-        if not (self.config.prioritize or self.config.symmetry):
-            return ordered[0]
-        classified = [self.classifier.classify(c, node.paths, node.constraints,
-                                               node.blocks)
-                      for c in ordered[:MAX_CLASSIFIED_CONFLICTS]]
-        return pick_conflict(classified)
 
     def _replan_set(self, node_paths: list[Path], agent: int,
                     constraint: Constraint) -> list[int]:
@@ -346,8 +335,6 @@ class Solver:
         for r in sorted(replans):
             ctable = ConstraintTable(self.grid, r, [*constraints[r], *blocks],
                                      self.targets)
-            if ctable.infeasible:
-                return None
             self._sync(paths, skip=r)
             delay_sum = estimate_delays(constraints[r], r,
                                         parent.paths[r].cost)
@@ -412,7 +399,7 @@ class Solver:
         if root is None:
             metrics.outcome = "infeasible"
             metrics.wall_time = time.monotonic() - t_start
-            return SolveResult("infeasible", None, metrics)
+            return SolveResult(None, metrics)
         metrics.generated += 1
         metrics.lb0 = root.solb
         self.lb_global = root.solb
@@ -438,11 +425,12 @@ class Solver:
                 metrics.depth = node.depth + 1
                 metrics.lb_final = self.lb_global
                 metrics.wall_time = time.monotonic() - t_start
-                return SolveResult("solved", list(node.paths), metrics)
+                return SolveResult(list(node.paths), metrics)
             metrics.expanded += 1
             if node.depth > deepest.depth:
                 deepest = node
-            conflict = self._choose_conflict(node)
+            conflict = self.classifier.choose(node.conflicts, node.paths,
+                                              node.constraints, node.blocks)
             splits = split_conflict(conflict)
             children = [self.make_child(node, agent, cons, frontier)
                         for agent, cons in splits]
@@ -460,7 +448,7 @@ class Solver:
         metrics.lb_final = self.lb_global
         metrics.depth = deepest.depth + 1
         metrics.wall_time = time.monotonic() - t_start
-        return SolveResult(metrics.outcome, None, metrics)
+        return SolveResult(None, metrics)
 
 
 def solve(instance: Instance, config: SolverConfig | None = None) -> SolveResult:

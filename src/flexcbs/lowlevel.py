@@ -372,10 +372,6 @@ class ConstraintTable:
                 self.edge.add((t * n + u) * n + v)
                 self.guarded.add(v)
 
-    @property
-    def infeasible(self) -> bool:
-        return self.earliest_goal > self.latest_goal
-
     def hold_time(self, goal: int) -> float:
         """Earliest timestep from which the agent may park at cell id goal
         for good; INF if goal is blocked forever."""
@@ -386,8 +382,7 @@ class ConstraintTable:
 
 @dataclass
 class LowLevelRequest:
-    grid: GridMap
-    agent: int
+    """One search for `ctable.agent` on `tables.grid`."""
     start: Cell
     goal: Cell
     ctable: ConstraintTable
@@ -400,7 +395,8 @@ class LowLevelRequest:
     lb_parent: float = 0.0
 
     def effective_horizon(self) -> int:
-        return self.ctable.latest_constraint_t + self.grid.num_passable() + 1
+        return (self.ctable.latest_constraint_t
+                + self.tables.grid.num_passable() + 1)
 
 
 @dataclass
@@ -451,13 +447,14 @@ def _search(req: LowLevelRequest, two_phase: bool) -> LowLevelResult | None:
     FOCAL membership. The result's `conflicts` is the FOCAL count of the
     returned path.
     """
-    ctable, grid, tables = req.ctable, req.grid, req.tables
+    ctable, tables = req.ctable, req.tables
+    grid = tables.grid
     start, goal = grid.id_of(req.start), grid.id_of(req.goal)
     latest = ctable.latest_goal
     hold = ctable.hold_time(goal)
-    # An empty window, or a goal blocked forever (hold = INF), fails before
-    # the goal's table is read.
-    if ctable.infeasible or hold > latest or hold == INF:
+    # An empty window (hold >= earliest_goal) or a goal blocked forever
+    # (hold = INF) fails before the goal's table is read.
+    if hold > latest or hold == INF:
         return None
     horizon = req.effective_horizon()
     # h is consistent, so a state with t + h > latest and all its descendants
@@ -615,7 +612,7 @@ def _search(req: LowLevelRequest, two_phase: bool) -> LowLevelResult | None:
         x_of[s] = CLOSED
         expand(s, v, t, x, bound + EPS)
 
-    path = _reconstruct(parent, grid.cell_of, req.agent, s)
+    path = _reconstruct(parent, grid.cell_of, ctable.agent, s)
     cost = path.cost
     conflicts = x
     x_of[s] = CLOSED
@@ -657,8 +654,8 @@ def fastar_search(req: LowLevelRequest) -> LowLevelResult | None:
     return _search(req, two_phase=True)
 
 
-def earliest_arrival(grid: GridMap, ctable: ConstraintTable, start: Cell,
-                     goal: Cell, tables: Distances) -> int | None:
+def earliest_arrival(ctable: ConstraintTable, start: Cell, goal: Cell,
+                     tables: Distances) -> int | None:
     """Earliest timestep t at which the agent can reach goal and park there
     for good, with ctable.hold_time(id of goal) <= t <= ctable.latest_goal;
     None if there is none. The cardinality probe caps the window with a
@@ -668,8 +665,7 @@ def earliest_arrival(grid: GridMap, ctable: ConstraintTable, start: Cell,
     holds only states with f = f_min, so the first goal it pops is the
     earliest arrival, and the (zero) conflict counts only order the search.
     """
-    req = LowLevelRequest(grid=grid, agent=ctable.agent, start=start,
-                          goal=goal, ctable=ctable, occupancy=Occupancy(grid),
-                          tables=tables)
+    req = LowLevelRequest(start=start, goal=goal, ctable=ctable,
+                          occupancy=Occupancy(tables.grid), tables=tables)
     result = _search(req, two_phase=False)
     return None if result is None else result.cost

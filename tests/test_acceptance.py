@@ -183,8 +183,7 @@ def test_criterion_05_fastar_lb_dominance(capsys):
                   for _ in range(rng.randint(0, 2))]
         targets = {1: rng.choice(cells)}
         ctable = ConstraintTable(grid, 0, cs, targets)
-        req = LowLevelRequest(grid=grid, agent=0, start=start, goal=goal,
-                              ctable=ctable,
+        req = LowLevelRequest(start=start, goal=goal, ctable=ctable,
                               occupancy=Occupancy(grid, others),
                               tables=Distances(grid),
                               w=rng.choice([1.0, 1.05, 1.5, 2.0]),
@@ -272,7 +271,8 @@ def test_criterion_08_metrics_correctness(capsys):
 @pytest.mark.slow
 def test_criterion_09_directional_performance(capsys):
     rng = random.Random(9009)
-    stats = {"gfd": {"gb": [], "solved": 0}, "mfd": {"gb": [], "solved": 0}}
+    stats = {mode: {"gb": [], "solved": 0, "violated": 0}
+             for mode in ("gfd", "mfd")}
     trials = 25
     for _ in range(trials):
         inst = fixed_size_instance(rng, 32, rng.randint(40, 60), 0.1)
@@ -283,15 +283,20 @@ def test_criterion_09_directional_performance(capsys):
             stats[mode]["gb"].append(res.metrics.gb_ratio)
             if res.outcome == "solved":
                 stats[mode]["solved"] += 1
+            # the w-bound check reaches negative slack, which gfd meets in
+            # most of its replans here
+            stats[mode]["violated"] += bool(res.metrics.violations)
     gfd_gb = sum(stats["gfd"]["gb"]) / trials
     mfd_gb = sum(stats["mfd"]["gb"]) / trials
     gfd_sr = stats["gfd"]["solved"] / trials
     mfd_sr = stats["mfd"]["solved"] / trials
-    ok = mfd_gb >= gfd_gb - 1e-9 and mfd_sr >= gfd_sr - 0.05
+    violated = stats["gfd"]["violated"] + stats["mfd"]["violated"]
+    ok = (mfd_gb >= gfd_gb - 1e-9 and mfd_sr >= gfd_sr - 0.05
+          and violated == 0)
     report(capsys, 9, "hierarchical flex keeps more nodes globally bounded", ok,
            f"avg GB ratio mfd={mfd_gb:.3f} gfd={gfd_gb:.3f}; "
            f"success mfd={mfd_sr:.2f} gfd={gfd_sr:.2f} over {trials} "
-           "instances")
+           f"instances; violations in {violated} of {2 * trials} runs")
 
 
 def test_criterion_10_benchmark_determinism(capsys, tmp_path):

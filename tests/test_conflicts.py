@@ -150,7 +150,7 @@ class TestFindCorridor:
 
 class TestClassifier:
     def make(self, grid, targets):
-        return Classifier(grid, targets, Distances(grid), symmetry=True,
+        return Classifier(targets, Distances(grid), symmetry=True,
                           prioritize=True)
 
     def test_target_conflict(self):
@@ -196,7 +196,7 @@ class TestClassifier:
         parked = Path(0, ((0, 1), (0, 2)))
         passer = Path(1, ((0, 5), (0, 4), (0, 3), (0, 2), (0, 1)))
         conflicts, _, _ = detect_conflicts(grid, [parked, passer])
-        plain = Classifier(grid, {0: (0, 2), 1: (0, 1)}, Distances(grid),
+        plain = Classifier({0: (0, 2), 1: (0, 1)}, Distances(grid),
                            symmetry=False, prioritize=False)
         c = plain.classify(conflicts[0], [parked, passer], [(), ()], ())
         assert c.cls is ConflictClass.UNCLASSIFIED
@@ -215,9 +215,9 @@ class TestClassifier:
         replan = ConstraintTable(grid, 0, [split_constraint_for(0, c),
                                            length_leq(0, 2), *blocks],
                                  targets)
-        assert earliest_arrival(grid, replan, (0, 0), (1, 1),
+        assert earliest_arrival(replan, (0, 0), (1, 1),
                                 Distances(grid)) is None
-        classifier = Classifier(grid, targets, Distances(grid))
+        classifier = Classifier(targets, Distances(grid))
         assert classifier._forced(0, c, [p0, p1, Path(2, ((1, 0),))],
                                   constraints, blocks)
 
@@ -357,7 +357,7 @@ class TestForcedMatchesOracle:
         want = brute_constrained_opt(
             grid, [*own, *blocks, split, length_leq(0, cost)], 0, start,
             targets[0], targets, cost) is None
-        classifier = Classifier(grid, targets, Distances(grid))
+        classifier = Classifier(targets, Distances(grid))
         forced = classifier._forced(0, c, paths, constraints, blocks)
         assert forced == want
         # blocks only take paths away: forced without them stays forced
@@ -380,6 +380,6 @@ class TestMinCostWithin:
                   for _ in range(rng.randint(0, 3))]
             cap = rng.randint(1, 8)
             table = ConstraintTable(grid, 0, [*cs, length_leq(0, cap)], {})
-            got = earliest_arrival(grid, table, start, goal, Distances(grid))
+            got = earliest_arrival(table, start, goal, Distances(grid))
             want = brute_constrained_opt(grid, cs, 0, start, goal, {}, cap)
             assert got == want

@@ -2,6 +2,7 @@ import inspect
 import math
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,12 +10,13 @@ from flexcbs import flex as flexmod
 from flexcbs.conflicts import Classifier, detect_conflicts
 from flexcbs.constraints import ConflictClass, ConstraintKind
 from flexcbs.flex import FlexMode
-from flexcbs.highlevel import Solver, SolverConfig, solve
+from flexcbs.highlevel import EPS, Frontier, Solver, SolverConfig, solve
 from flexcbs.lowlevel import Occupancy
 from flexcbs.map_io import AgentSpec, Instance
 from flexcbs.oracle import optimal_soc, validate
 from helpers import (TreeSolver, grid_from_rows, occupancy_state, open_grid,
                      random_instance, swap_instance)
+from test_acceptance import fixed_size_instance
 
 ALL_MODES = list(FlexMode)
 LOW_LEVELS = ["focal", "fastar"]
@@ -411,3 +413,117 @@ class TestFlexModesAgree:
                     assert res.outcome == "solved"
                     assert res.metrics.soc <= w * opt.soc + 1e-9
                     assert validate(res.paths, inst) == []
+
+
+def negative_slack_family() -> list[Instance]:
+    """Twelve 16x16 draws with 15-25 agents. With gfd at w = 1.05 and target
+    reasoning, the other agents' costs often exceed w times their lower
+    bounds, so a replan's flex is negative: draw 5 meets it in 45 of its 121
+    replans."""
+    rng = random.Random(1)
+    return [fixed_size_instance(rng, 16, rng.randint(15, 25), 0.1)
+            for _ in range(12)]
+
+
+def gfd_config() -> SolverConfig:
+    return SolverConfig(w=1.05, flex_mode=FlexMode.GFD, symmetry=True,
+                        time_limit=10.0)
+
+
+class TestNegativeSlack:
+    def test_every_replan_stays_within_its_threshold(self, monkeypatch):
+        """Each replan's flex is at most the slack the other agents leave,
+        w * lb_j - cost_j summed over j != i, negative or not, and its path
+        costs at most w * lb_i + delta."""
+        compute = Solver._compute_flex
+        negative_slack = []  # one flag per flex computation
+
+        def spy(self, lbs, paths, agent, *args):
+            fc = compute(self, lbs, paths, agent, *args)
+            w = self.config.w
+            delta_max = sum(w * lbs[j] - paths[j].cost
+                            for j in range(len(lbs)) if j != agent)
+            assert fc.delta_max == pytest.approx(delta_max)
+            assert fc.delta <= delta_max + 1e-9
+            negative_slack.append(delta_max < 0)
+            return fc
+
+        monkeypatch.setattr(Solver, "_compute_flex", spy)
+        negative = []
+        for inst in negative_slack_family():
+            res = Solver(inst, gfd_config()).solve()
+            assert res.outcome == "solved"
+            assert res.metrics.violations == []
+            records = res.metrics.flex_records
+            # usage is the path's cost minus w times its new lower bound
+            assert all(usage <= delta + 1e-9 for delta, usage, _ in records)
+            negative.append(sum(not nonneg for *_, nonneg in records))
+        assert sum(negative_slack) == sum(negative)
+        assert negative[5] > 0 and sum(negative) >= 50
+
+    def test_bound_check_reaches_negative_slack(self):
+        """A solver that replans with no flex where the slack is negative
+        lets a child's SOC exceed w times its SOLB, and its own bound check
+        reports it."""
+
+        class DropsNegativeFlex(Solver):
+            def _compute_flex(self, *args):
+                fc = super()._compute_flex(*args)
+                return None if fc is not None and fc.delta < 0 else fc
+
+        inst = negative_slack_family()[5]
+        assert Solver(inst, gfd_config()).solve().metrics.violations == []
+        res = DropsNegativeFlex(inst, gfd_config()).solve()
+        assert res.metrics.violations
+
+
+class TestFrontier:
+    """`Frontier.pop_best` against a rescan of the EES rule over every open
+    node, on random push/pop sequences. f-hat is a multiple of 1/4 and SOC,
+    SOLB and LB are integers, so no bound falls within EPS of a value it is
+    compared with unless equal to it."""
+
+    @staticmethod
+    def ees_pick(alive: list, w: float, lb: float):
+        """FOCAL (f-hat within w times the least) by (conflicts, seq), else
+        OPEN by (f-hat, seq), each only if its SOC is within w * LB; else
+        CLEANUP by (SOLB, SOC, seq)."""
+        least = min(n.fhat for n in alive)
+        focal = min((n for n in alive if n.fhat <= w * least + EPS),
+                    key=lambda n: (n.x_total, n.seq))
+        if focal.soc <= w * lb + EPS:
+            return focal, "focal"
+        best = min(alive, key=lambda n: (n.fhat, n.seq))
+        if best.soc <= w * lb + EPS:
+            return best, "open"
+        return min(alive, key=lambda n: (n.solb, n.soc, n.seq)), "cleanup"
+
+    @pytest.mark.parametrize("w", [1.0, 1.05, 1.5])
+    def test_pop_best_follows_the_ees_rule(self, w):
+        rng = random.Random(31)
+        picks = Counter()
+        for _ in range(100):
+            frontier = Frontier(w)
+            alive: dict[int, SimpleNamespace] = {}
+            lb = 0
+            for seq in range(1, 61):
+                if alive and rng.random() < 0.45:
+                    least = min(n.solb for n in alive.values())
+                    assert frontier.min_lb() == least
+                    lb = max(lb, least)  # as Solver.solve keeps it
+                    want, queue = self.ees_pick(list(alive.values()), w, lb)
+                    assert frontier.pop_best(lb) is want
+                    picks[queue] += 1
+                    del alive[want.seq]
+                else:
+                    solb = rng.randint(10, 20)
+                    soc = solb + rng.randint(0, 4)
+                    x_total = rng.randint(0, 5)
+                    node = SimpleNamespace(
+                        seq=seq, solb=solb, soc=soc, x_total=x_total,
+                        fhat=soc + rng.randint(0, 8) / 4 * x_total)
+                    frontier.push(node)
+                    alive[seq] = node
+                assert len(frontier) == len(alive)
+        # every branch of the rule is taken (OPEN least often at w = 1)
+        assert min(picks[q] for q in ("focal", "open", "cleanup")) >= 5

@@ -26,7 +26,7 @@ def make_request(grid, start, goal, constraints=(), others=(), w=1.0,
                  delta=0.0, lb_parent=0.0, agent=0, targets=None, tables=None):
     ctable = ConstraintTable(grid, agent, list(constraints), targets or {})
     return LowLevelRequest(
-        grid=grid, agent=agent, start=start, goal=goal, ctable=ctable,
+        start=start, goal=goal, ctable=ctable,
         occupancy=Occupancy(grid, others),
         tables=tables if tables is not None else Distances(grid),
         w=w, delta=delta, lb_parent=lb_parent)
@@ -314,7 +314,7 @@ class TestFocalSearch:
 
     def test_unreachable_goal(self):
         grid = grid_from_rows([".@."])
-        req = LowLevelRequest(grid=grid, agent=0, start=(0, 0), goal=(0, 2),
+        req = LowLevelRequest(start=(0, 0), goal=(0, 2),
                               ctable=ConstraintTable(grid, 0, [], {}),
                               occupancy=Occupancy(grid),
                               tables=Distances(grid))
@@ -488,7 +488,7 @@ def probe(grid, constraints, start, goal, horizon, targets=None,
     """earliest_arrival with the window capped by length_leq(0, horizon)."""
     table = ConstraintTable(grid, 0, [*constraints, length_leq(0, horizon)],
                             targets or {})
-    return earliest_arrival(grid, table, start, goal,
+    return earliest_arrival(table, start, goal,
                             tables if tables is not None else Distances(grid))
 
 
