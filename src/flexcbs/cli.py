@@ -60,8 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--flex", default="none",
                     choices=[m.value for m in FlexMode])
     ap.add_argument("--lowlevel", default="focal", choices=["focal", "fastar"])
-    ap.add_argument("--bypass", action=argparse.BooleanOptionalAction,
-                    default=True)
     ap.add_argument("--prioritize", action=argparse.BooleanOptionalAction,
                     default=True)
     ap.add_argument("--symmetry", action=argparse.BooleanOptionalAction,
@@ -105,9 +103,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     config = SolverConfig(
         w=args.suboptimality, flex_mode=FlexMode(args.flex),
-        low_level=args.lowlevel, bypass=args.bypass,
-        prioritize=args.prioritize, symmetry=args.symmetry,
-        time_limit=args.time_limit)
+        low_level=args.lowlevel, prioritize=args.prioritize,
+        symmetry=args.symmetry, time_limit=args.time_limit)
     result = Solver(instance, config).solve()
     if result.paths is not None:
         problems = validate(result.paths, instance)

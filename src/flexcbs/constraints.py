@@ -102,18 +102,15 @@ def length_gt(agent: int, t: int) -> Constraint:
     return Constraint(ConstraintKind.LENGTH_GT, agent, t)
 
 
-def estimate_delays(constraints: list[Constraint], agent: int,
+def estimate_delays(constraints: tuple[Constraint, ...],
                     parent_cost: int) -> int:
-    """Total rule-based delay estimate over the agent's constraints.
+    """Total rule-based delay estimate over one agent's own constraints.
 
     Vertex/edge constraints are assumed satisfiable with one wait (delay 1);
     a LENGTH_GT forces a later arrival, clamped at 0; a LENGTH_LEQ is free.
-    Other agents' constraints, such as their target blocks, add nothing.
     """
     total = 0
     for c in constraints:
-        if c.agent != agent:
-            continue
         if c.kind in (ConstraintKind.VERTEX, ConstraintKind.EDGE):
             total += 1
         elif c.kind is ConstraintKind.LENGTH_GT:

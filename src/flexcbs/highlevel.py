@@ -33,7 +33,6 @@ class SolverConfig:
     w: float = 1.05
     flex_mode: FlexMode = FlexMode.NONE
     low_level: str = "focal"  # "focal" or "fastar"
-    bypass: bool = True
     prioritize: bool = True
     symmetry: bool = True
     time_limit: float = 60.0
@@ -157,10 +156,6 @@ class Frontier:
 
     def min_solb_node(self) -> CTNode | None:
         return self._top(self._cleanup)
-
-    def min_lb(self) -> float:
-        node = self.min_solb_node()
-        return node.solb if node is not None else INF
 
     def _sync_focal(self):
         top = self._top(self._open)
@@ -332,12 +327,11 @@ class Solver:
         lbs = list(parent.lbs)
         conflicts = parent.conflicts  # replaced, never changed, on a replan
         replans = self._replan_set(parent.paths, agent, constraint)
-        for r in sorted(replans):
+        for r in replans:
             ctable = ConstraintTable(self.grid, r, [*constraints[r], *blocks],
                                      self.targets)
             self._sync(paths, skip=r)
-            delay_sum = estimate_delays(constraints[r], r,
-                                        parent.paths[r].cost)
+            delay_sum = estimate_delays(constraints[r], parent.paths[r].cost)
             fc = self._compute_flex(lbs, paths, r, parent, delay_sum, frontier)
             delta = fc.delta if fc is not None else 0.0
             result = self._plan(r, ctable, self.occ, delta=delta,
@@ -355,10 +349,11 @@ class Solver:
         child = CTNode(constraints=constraints, blocks=blocks, paths=paths,
                        lbs=lbs, conflicts=conflicts, depth=parent.depth + 1,
                        seq=self._next_seq())
-        # instrumentation
+        # the child's SOC gain feeds e-hat, which orders OPEN
         self._ehat_sum += max(0.0, child.soc - parent.soc)
         self._ehat_n += 1
         self._set_fhat(child)
+        # instrumentation
         metrics.generated += 1
         if child.soc <= self.config.w * self.lb_global + EPS:
             metrics.gb_generated += 1
@@ -408,12 +403,13 @@ class Solver:
         frontier = Frontier(self.config.w)
         frontier.push(root)
         deepest = root
+        goal = None
 
         while len(frontier):
             if time.monotonic() > deadline:
                 metrics.outcome = "timeout"
                 break
-            self.lb_global = max(self.lb_global, frontier.min_lb())
+            self.lb_global = max(self.lb_global, frontier.min_solb_node().solb)
             node = frontier.pop_best(self.lb_global)
             if node.soc > self.config.w * self.lb_global + EPS:
                 metrics.violations.append(
@@ -422,10 +418,8 @@ class Solver:
             if not node.conflicts:
                 metrics.outcome = "solved"
                 metrics.soc = node.soc
-                metrics.depth = node.depth + 1
-                metrics.lb_final = self.lb_global
-                metrics.wall_time = time.monotonic() - t_start
-                return SolveResult(list(node.paths), metrics)
+                goal = deepest = node  # a solved run's depth is the goal's
+                break
             metrics.expanded += 1
             if node.depth > deepest.depth:
                 deepest = node
@@ -434,12 +428,8 @@ class Solver:
             splits = split_conflict(conflict)
             children = [self.make_child(node, agent, cons, frontier)
                         for agent, cons in splits]
-            if self.config.bypass:
-                adopted = self._try_bypass(node, conflict, children)
-                if adopted is not None:
-                    frontier.push(adopted)
-                    continue
-            for child in children:
+            adopted = self._try_bypass(node, conflict, children)
+            for child in children if adopted is None else [adopted]:
                 if child is not None:
                     frontier.push(child)
         else:
@@ -448,7 +438,8 @@ class Solver:
         metrics.lb_final = self.lb_global
         metrics.depth = deepest.depth + 1
         metrics.wall_time = time.monotonic() - t_start
-        return SolveResult(None, metrics)
+        paths = list(goal.paths) if goal is not None else None
+        return SolveResult(paths, metrics)
 
 
 def solve(instance: Instance, config: SolverConfig | None = None) -> SolveResult:

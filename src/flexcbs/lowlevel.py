@@ -452,7 +452,7 @@ def _search(req: LowLevelRequest, two_phase: bool) -> LowLevelResult | None:
     start, goal = grid.id_of(req.start), grid.id_of(req.goal)
     latest = ctable.latest_goal
     hold = ctable.hold_time(goal)
-    # An empty window (hold >= earliest_goal) or a goal blocked forever
+    # An empty window (hold > latest) or a goal blocked forever
     # (hold = INF) fails before the goal's table is read.
     if hold > latest or hold == INF:
         return None
@@ -640,7 +640,7 @@ def _search(req: LowLevelRequest, two_phase: bool) -> LowLevelResult | None:
             expand(s, v, t, x, -INF)
         if optimal is None:
             optimal = cost  # phase (i) path already optimal
-        lb = max(min(float(optimal), float(cost)), req.lb_parent)
+        lb = max(float(optimal), req.lb_parent)
 
     return LowLevelResult(path=path, cost=cost, lb=lb, tau=tau,
                           expansions=expansions, conflicts=conflicts)

@@ -61,6 +61,12 @@ class TestUsageErrors:
             main(base_args(files) + ["--flex", "turbo"])
         assert exc.value.code == 64
 
+    @pytest.mark.parametrize("flag", ["--bypass", "--no-bypass"])
+    def test_bypass_is_not_an_option(self, files, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(base_args(files) + [flag])
+        assert exc.value.code == 64
+
     def test_missing_map_file(self, files, tmp_path):
         args = ["--map", str(tmp_path / "nope.map"), "--scen", files[1],
                 "--agents", "2"]
@@ -110,8 +116,7 @@ class TestSolveRuns:
 
     def test_flag_combinations_smoke(self, files, capsys):
         rc = main(base_args(files) + ["--flex", "mfd", "--lowlevel", "fastar",
-                                      "--no-bypass", "--no-symmetry",
-                                      "--no-prioritize"])
+                                      "--no-symmetry", "--no-prioritize"])
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["outcome"] == "solved"
 

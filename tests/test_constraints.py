@@ -257,25 +257,21 @@ class TestEstimateDelays:
     def test_vertex_and_edge_delays_are_one_each(self):
         cs = [vertex_constraint(0, (0, 0), 1), vertex_constraint(0, (1, 0), 2),
               edge_constraint(0, (0, 0), (0, 1), 1)]
-        assert [estimate_delays([c], 0, 0) for c in cs] == [1, 1, 1]
-        assert estimate_delays(cs, 0, 0) == 3
+        assert [estimate_delays((c,), 0) for c in cs] == [1, 1, 1]
+        assert estimate_delays(tuple(cs), 0) == 3
 
     def test_length_gt_delay(self):
-        total = estimate_delays([length_gt(0, 10)], 0, 7)
+        total = estimate_delays((length_gt(0, 10),), 7)
         assert total == 3
 
     def test_length_gt_already_satisfied(self):
-        total = estimate_delays([length_gt(0, 5)], 0, 7)
+        total = estimate_delays((length_gt(0, 5),), 7)
         assert total == 0
 
     def test_length_leq_is_free(self):
-        total = estimate_delays([length_leq(0, 4), length_leq(1, 4)], 0, 3)
-        assert total == 0
-
-    def test_other_agents_motion_constraints_skipped(self):
-        total = estimate_delays([vertex_constraint(1, (0, 0), 1)], 0, 0)
+        total = estimate_delays((length_leq(0, 4),), 3)
         assert total == 0
 
     def test_delays_never_negative(self):
         # unclamped, the LENGTH_GT term would contribute 1 - 5 = -4
-        assert estimate_delays([length_gt(0, 1)], 0, 5) == 0
+        assert estimate_delays((length_gt(0, 1),), 5) == 0

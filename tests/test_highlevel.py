@@ -147,17 +147,22 @@ class TestCorridorConflict:
 
 
 class TestBypass:
-    def test_same_bound_with_and_without(self):
+    def test_optimal_with_adoptions(self):
+        """Bypass keeps w = 1 optimal, and adoptions do happen on these
+        draws, so the check is not vacuous."""
         rng = random.Random(21)
+        adoptions = 0
         for _ in range(10):
             inst = random_instance(rng, 4, 4, 3)
             opt = optimal_soc(inst)
             if not opt.solvable:
                 continue
-            for bypass in (True, False):
-                res = solve(inst, SolverConfig(w=1.0, bypass=bypass))
-                assert res.outcome == "solved"
-                assert res.metrics.soc == opt.soc
+            solver = TreeSolver(inst, SolverConfig(w=1.0))
+            res = solver.solve()
+            assert res.outcome == "solved"
+            assert res.metrics.soc == opt.soc
+            adoptions += len(solver.adopted)
+        assert adoptions >= 1
 
 
 class TestTreeInvariants:
@@ -509,7 +514,7 @@ class TestFrontier:
             for seq in range(1, 61):
                 if alive and rng.random() < 0.45:
                     least = min(n.solb for n in alive.values())
-                    assert frontier.min_lb() == least
+                    assert frontier.min_solb_node().solb == least
                     lb = max(lb, least)  # as Solver.solve keeps it
                     want, queue = self.ees_pick(list(alive.values()), w, lb)
                     assert frontier.pop_best(lb) is want
