@@ -9,10 +9,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 
-from .cli import (EXIT_USAGE, UsageParser, factor_at_least_one, positive_int,
-                  positive_seconds)
+from .cli import EXIT_USAGE, UsageParser, positive_int
 from .flex import FlexMode
-from .highlevel import RunMetrics, SolverConfig, Solver
+from .highlevel import LOW_LEVELS, RunMetrics, SolverConfig, Solver
 from .map_io import (Instance, InstanceError, MapFormatError, parse_map,
                      parse_scenario)
 from .oracle import validate
@@ -71,8 +70,8 @@ class BenchSpec:
     agent_counts: list[int]
     w_values: list[float]
     flex_modes: list[str]
-    low_level: str = "focal"
-    time_limit: float = 60.0
+    low_level: str = SolverConfig.low_level
+    time_limit: float = SolverConfig.time_limit
     out_csv: str | None = None
     out_summary: str | None = None
     out_plots: str | None = None
@@ -83,7 +82,7 @@ class BenchSpec:
         # one config per (w, mode) in run order; SolverConfig rejects a bad
         # w, mode, low level or time limit here, before any file is opened
         self.configs = [
-            SolverConfig(w=w, flex_mode=FlexMode(mode),
+            SolverConfig(w=w, flex_mode=mode,
                          low_level=self.low_level, time_limit=self.time_limit)
             for w in self.w_values for mode in self.flex_modes]
         if not (self.agent_counts and self.configs):
@@ -213,21 +212,27 @@ def main(argv=None) -> int:
     ap.add_argument("--map", required=True)
     ap.add_argument("--scen", required=True, nargs="+")
     ap.add_argument("--agents", required=True, nargs="+", type=positive_int)
-    ap.add_argument("--suboptimality", nargs="+", type=factor_at_least_one,
-                    default=[1.05])
-    ap.add_argument("--flex", nargs="+", default=["none"],
+    # defaults as in flexcbs; BenchSpec checks every setting
+    ap.add_argument("--suboptimality", nargs="+", type=float,
+                    default=[SolverConfig.w])
+    ap.add_argument("--flex", nargs="+", default=[SolverConfig.flex_mode.value],
                     choices=[m.value for m in FlexMode])
-    ap.add_argument("--lowlevel", default="focal", choices=["focal", "fastar"])
-    ap.add_argument("--time-limit", type=positive_seconds, default=60.0)
+    ap.add_argument("--lowlevel", default=SolverConfig.low_level,
+                    choices=LOW_LEVELS)
+    ap.add_argument("--time-limit", type=float, default=SolverConfig.time_limit)
     ap.add_argument("--out-csv", default="results.csv")
     ap.add_argument("--out-summary", default=None)
     ap.add_argument("--out-plots", default=None)
     args = ap.parse_args(argv)
-    spec = BenchSpec(map_path=args.map, scen_paths=args.scen,
-                     agent_counts=args.agents, w_values=args.suboptimality,
-                     flex_modes=args.flex, low_level=args.lowlevel,
-                     time_limit=args.time_limit, out_csv=args.out_csv,
-                     out_summary=args.out_summary, out_plots=args.out_plots)
+    try:
+        spec = BenchSpec(map_path=args.map, scen_paths=args.scen,
+                         agent_counts=args.agents, w_values=args.suboptimality,
+                         flex_modes=args.flex, low_level=args.lowlevel,
+                         time_limit=args.time_limit, out_csv=args.out_csv,
+                         out_summary=args.out_summary,
+                         out_plots=args.out_plots)
+    except ValueError as exc:
+        ap.error(str(exc))
     try:
         rows = run_benchmark(spec)
     except (MapFormatError, InstanceError, OSError) as exc:

@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from .flex import FlexMode
-from .highlevel import SolverConfig, Solver
+from .highlevel import LOW_LEVELS, SolverConfig, Solver
 from .map_io import MapFormatError, InstanceError, load_instance
 from .oracle import validate
 
@@ -35,37 +34,23 @@ def positive_int(text: str) -> int:
     return k
 
 
-def factor_at_least_one(text: str) -> float:
-    """argparse type for --suboptimality: a finite number of at least 1."""
-    w = float(text)
-    if not 1.0 <= w < math.inf:  # also rejects NaN
-        raise argparse.ArgumentTypeError(f"must be finite and >= 1, got {text}")
-    return w
-
-
-def positive_seconds(text: str) -> float:
-    """argparse type for --time-limit: seconds above 0, not NaN."""
-    seconds = float(text)
-    if not seconds > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-    return seconds
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = UsageParser(prog="flexcbs", description="Bounded-suboptimal MAPF solver")
     ap.add_argument("--map", required=True, help="MovingAI .map file")
     ap.add_argument("--scen", required=True, help="MovingAI .scen file")
     ap.add_argument("--agents", required=True, type=positive_int)
-    ap.add_argument("--suboptimality", type=factor_at_least_one, default=1.05)
-    ap.add_argument("--flex", default="none",
+    # SolverConfig holds the defaults and checks every setting
+    ap.add_argument("--suboptimality", type=float, default=SolverConfig.w)
+    ap.add_argument("--flex", default=SolverConfig.flex_mode.value,
                     choices=[m.value for m in FlexMode])
-    ap.add_argument("--lowlevel", default="focal", choices=["focal", "fastar"])
+    ap.add_argument("--lowlevel", default=SolverConfig.low_level,
+                    choices=LOW_LEVELS)
     ap.add_argument("--prioritize", action=argparse.BooleanOptionalAction,
-                    default=True)
+                    default=SolverConfig.prioritize)
     ap.add_argument("--symmetry", action=argparse.BooleanOptionalAction,
-                    default=True,
+                    default=SolverConfig.symmetry,
                     help="turn target-conflict reasoning on or off")
-    ap.add_argument("--time-limit", type=positive_seconds, default=60.0)
+    ap.add_argument("--time-limit", type=float, default=SolverConfig.time_limit)
     ap.add_argument("--out", default=None, help="solution output path")
     return ap
 
@@ -97,14 +82,17 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        config = SolverConfig(
+            w=args.suboptimality, flex_mode=args.flex,
+            low_level=args.lowlevel, prioritize=args.prioritize,
+            symmetry=args.symmetry, time_limit=args.time_limit)
+    except ValueError as exc:
+        ap.error(str(exc))
+    try:
         instance = load_instance(args.map, args.scen, args.agents)
     except (MapFormatError, InstanceError, OSError) as exc:
         print(f"flexcbs: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    config = SolverConfig(
-        w=args.suboptimality, flex_mode=FlexMode(args.flex),
-        low_level=args.lowlevel, prioritize=args.prioritize,
-        symmetry=args.symmetry, time_limit=args.time_limit)
     result = Solver(instance, config).solve()
     if result.paths is not None:
         problems = validate(result.paths, instance)

@@ -27,30 +27,14 @@ class Corridor:
     interior: tuple[Cell, ...]
     endpoints: tuple[Cell, Cell]
 
-    @property
-    def cells(self) -> frozenset[Cell]:
-        return frozenset(self.interior) | frozenset(self.endpoints)
 
-
-def conflict_counts(conflicts: list[Conflict], k: int) -> list[int]:
-    """Number of conflicts each of the k agents takes part in."""
-    counts = [0] * k
-    for c in conflicts:
-        counts[c.a_i] += 1
-        counts[c.a_j] += 1
-    return counts
-
-
-def detect_conflicts(grid: GridMap, paths: list[Path]
-                     ) -> tuple[list[Conflict], list[int], int]:
-    """All vertex/edge conflicts between every pair, with target permanence.
+def detect_conflicts(grid: GridMap, paths: list[Path]) -> list[Conflict]:
+    """All vertex/edge conflicts between every pair, with target permanence,
+    sorted by (a_i, a_j, t).
 
     Agents are the list positions and the paths lie on `grid`. Each path is
     checked against the ones before it through one `Occupancy`, so the cost
     is one index lookup per timestep and hit instead of one scan per pair.
-    The list is sorted by (a_i, a_j, t). Returns (conflicts, per-agent
-    counts, total count); the total equals half the sum of the per-agent
-    counts.
     """
     occ = Occupancy(grid)
     conflicts = []
@@ -60,7 +44,7 @@ def detect_conflicts(grid: GridMap, paths: list[Path]
         conflicts.extend(occ.conflicts_with(path))
         occ.add(path)
     conflicts.sort(key=BY_PAIR)
-    return conflicts, conflict_counts(conflicts, len(paths)), len(conflicts)
+    return conflicts
 
 
 # Nothing in this package calls it; kept until the benchmark drops its hook.
@@ -151,10 +135,12 @@ class Classifier:
         reads, the agent cannot reach its target and park there by then.
 
         Of the node's blocks only other agents' blocks with t <= cost bind
-        by then (targets are distinct), so the probe reads just those and
-        its verdict is a function of the memo key. Children share unchanged
-        constraint tuples by reference, so the key holds the own tuple's id
-        rather than its hash, which would cost about as much as a probe."""
+        by then (targets are distinct): the agent's path obeys its own, so
+        each has t >= cost, looser than the probe's cap. So the probe reads
+        just the binding blocks and its verdict is a function of the memo
+        key. Children share unchanged constraint tuples by reference, so the
+        key holds the own tuple's id rather than its hash, which would cost
+        about as much as a probe."""
         own = constraints[agent]
         extra = split_constraint_for(agent, c)
         start, cost = paths[agent].cells[0], paths[agent].cost

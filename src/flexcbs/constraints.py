@@ -104,10 +104,11 @@ def length_gt(agent: int, t: int) -> Constraint:
 
 def estimate_delays(constraints: tuple[Constraint, ...],
                     parent_cost: int) -> int:
-    """Total rule-based delay estimate over one agent's own constraints.
+    """Total rule-based delay estimate over one agent's constraint tuple.
 
     Vertex/edge constraints are assumed satisfiable with one wait (delay 1);
-    a LENGTH_GT forces a later arrival, clamped at 0; a LENGTH_LEQ is free.
+    a LENGTH_GT forces a later arrival, clamped at 0; a LENGTH_LEQ, which a
+    CT node keeps in its blocks rather than in the tuple, is free.
     """
     total = 0
     for c in constraints:

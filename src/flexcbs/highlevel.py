@@ -26,13 +26,14 @@ from .map_io import Instance
 
 INF = math.inf
 EPS = 1e-6
+LOW_LEVELS = ("focal", "fastar")
 
 
 @dataclass
 class SolverConfig:
     w: float = 1.05
     flex_mode: FlexMode = FlexMode.NONE
-    low_level: str = "focal"  # "focal" or "fastar"
+    low_level: str = "focal"  # one of LOW_LEVELS
     prioritize: bool = True
     symmetry: bool = True
     time_limit: float = 60.0
@@ -40,7 +41,7 @@ class SolverConfig:
     def __post_init__(self):
         if not 1.0 <= self.w < INF:  # also rejects NaN
             raise ValueError("suboptimality factor must be finite and >= 1")
-        if self.low_level not in ("focal", "fastar"):
+        if self.low_level not in LOW_LEVELS:
             raise ValueError(f"unknown low-level variant {self.low_level!r}")
         if not self.time_limit > 0:  # also rejects NaN
             raise ValueError("time limit must be positive")
@@ -50,10 +51,11 @@ class SolverConfig:
 
 @dataclass
 class CTNode:
-    # one immutable tuple per agent; children share every slot they keep
+    # one immutable tuple per agent, with no LENGTH_LEQ; children share the
+    # list, or every slot they keep
     constraints: list[tuple[Constraint, ...]]
-    # every LENGTH_LEQ among them, which bars the other agents from its
-    # agent's target; shared with the parent unless the split adds one
+    # the node's LENGTH_LEQ constraints, kept nowhere else; shared with the
+    # parent unless the split adds one
     blocks: tuple[Constraint, ...]
     paths: list[Path]
     lbs: list[float]
@@ -319,10 +321,12 @@ class Solver:
     def make_child(self, parent: CTNode, agent: int, constraint: Constraint,
                    frontier: Frontier) -> CTNode | None:
         metrics = self.metrics
-        constraints = list(parent.constraints)
-        constraints[agent] = (*constraints[agent], constraint)
-        leq = constraint.kind is ConstraintKind.LENGTH_LEQ
-        blocks = (*parent.blocks, constraint) if leq else parent.blocks
+        constraints, blocks = parent.constraints, parent.blocks
+        if constraint.kind is ConstraintKind.LENGTH_LEQ:
+            blocks = (*blocks, constraint)
+        else:
+            constraints = list(constraints)
+            constraints[agent] = (*constraints[agent], constraint)
         paths = list(parent.paths)
         lbs = list(parent.lbs)
         conflicts = parent.conflicts  # replaced, never changed, on a replan

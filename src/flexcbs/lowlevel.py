@@ -301,10 +301,11 @@ def _drop(index: dict, key, agent: int):
 class ConstraintTable:
     """The constraints one search of `agent` obeys, under the kernel's keys.
 
-    Built per low-level search from the agent's own constraints plus the
-    target blocks induced by other agents' LENGTH_LEQ constraints (`targets`
-    maps an agent to its target); other agents' other constraints are
-    ignored. With N = grid.num_passable() cell ids:
+    Built per low-level search from the agent's constraint tuple plus the CT
+    node's blocks, which hold every LENGTH_LEQ: the agent's own cap its
+    cost, and another agent's bars that agent's target (`targets` maps an
+    agent to its target); other agents' other constraints are ignored.
+    With N = grid.num_passable() cell ids:
     - `vertex`: t * N + v for each VERTEX(v, t), the key of the state the
       kernel would enter;
     - `edge`: (t * N + u) * N + v for each EDGE(u, v, t), the key

@@ -8,7 +8,7 @@ from collections import deque
 
 from hypothesis import strategies as st
 
-from flexcbs.constraints import Conflict, ConstraintKind, Path
+from flexcbs.constraints import Conflict, Constraint, ConstraintKind, Path
 from flexcbs.highlevel import CTNode, Solver
 from flexcbs.map_io import AgentSpec, Cell, GridMap, Instance
 
@@ -243,23 +243,28 @@ def brute_constrained_opt(grid: GridMap, constraints, agent: int, start: Cell,
 class TreeSolver(Solver):
     """A Solver whose make_root and make_child keep every node they return
     in `tree_nodes`, in generation order, and map each child's seq to the
-    parent make_child was given in `parent_of`. Bypass-adopted nodes are
-    not among the kept nodes, but may be a kept node's parent; `adopted`
-    lists each as (the node it replaces, the adopted node)."""
+    parent make_child was given in `parent_of` and to the constraint its
+    split added in `split_of`. Bypass-adopted nodes are not among the kept
+    nodes, but may be a kept node's parent; `adopted` lists each as (the
+    node it replaces, the adopted node)."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.tree_nodes: list[CTNode] = []
         self.parent_of: dict[int, CTNode] = {}
+        self.split_of: dict[int, Constraint] = {}
         self.adopted: list[tuple[CTNode, CTNode]] = []
 
     def make_root(self) -> CTNode | None:
         return self._keep(super().make_root())
 
-    def make_child(self, parent: CTNode, *args, **kwargs) -> CTNode | None:
-        child = self._keep(super().make_child(parent, *args, **kwargs))
+    def make_child(self, parent: CTNode, agent: int, constraint: Constraint,
+                   *args) -> CTNode | None:
+        child = self._keep(super().make_child(parent, agent, constraint,
+                                              *args))
         if child is not None:
             self.parent_of[child.seq] = parent
+            self.split_of[child.seq] = constraint
         return child
 
     def _try_bypass(self, node: CTNode, *args) -> CTNode | None:

@@ -1,9 +1,11 @@
 import json
+import math
 
 import pytest
 
 from flexcbs import bench
 from flexcbs.cli import main
+from flexcbs.highlevel import SolverConfig
 
 MAP_TEXT = "type octile\nheight 3\nwidth 3\nmap\n...\n...\n...\n"
 SCEN_TEXT = ("version 1\n"
@@ -89,6 +91,28 @@ class TestUsageErrors:
                         "--agents", "2", k,
                         "--out-csv", str(tmp_path / "r.csv")])
         assert exc.value.code == 64
+        assert not (tmp_path / "r.csv").exists()
+
+
+class TestSettingsOwner:
+    """Both entry points leave every setting check to SolverConfig and
+    report its message as the usage error, before any file is written."""
+
+    @pytest.mark.parametrize("prog", ["flexcbs", "flexcbs-bench"])
+    def test_infinite_suboptimality_reports_solver_config(
+            self, files, tmp_path, capsys, prog):
+        with pytest.raises(ValueError) as want:
+            SolverConfig(w=math.inf)
+        out = str(tmp_path / "r.csv")
+        if prog == "flexcbs":
+            entry, args = main, base_args(files) + ["--out", out]
+        else:
+            entry, args = bench.main, base_args(files) + ["--out-csv", out]
+        with pytest.raises(SystemExit) as exc:
+            entry(args + ["--suboptimality", "inf"])
+        assert exc.value.code == 64
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == f"{prog}: error: {want.value}"
         assert not (tmp_path / "r.csv").exists()
 
 

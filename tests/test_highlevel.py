@@ -7,11 +7,12 @@ from types import SimpleNamespace
 import pytest
 
 from flexcbs import flex as flexmod
-from flexcbs.conflicts import Classifier, detect_conflicts
-from flexcbs.constraints import ConflictClass, ConstraintKind
+from flexcbs.conflicts import (Classifier, detect_conflicts,
+                               split_constraint_for)
+from flexcbs.constraints import ConflictClass, ConstraintKind, length_leq
 from flexcbs.flex import FlexMode
 from flexcbs.highlevel import EPS, Frontier, Solver, SolverConfig, solve
-from flexcbs.lowlevel import Occupancy
+from flexcbs.lowlevel import ConstraintTable, Occupancy, earliest_arrival
 from flexcbs.map_io import AgentSpec, Instance
 from flexcbs.oracle import optimal_soc, validate
 from helpers import (TreeSolver, grid_from_rows, occupancy_state, open_grid,
@@ -207,10 +208,12 @@ class TestTreeInvariants:
         assert len(generated) >= 500 and len(adopted) >= 10
 
     def test_blocks_are_the_nodes_length_leq_constraints(self):
-        """Every node's `blocks` holds exactly the LENGTH_LEQ constraints of
-        its constraint tuples. A child whose split added none shares its
-        parent's tuple, one whose split added one extends it, and a
-        bypass-adopted node shares the tuple of the node it replaces."""
+        """A node keeps its LENGTH_LEQ constraints in `blocks` and nowhere
+        else: no per-agent tuple holds one. A child whose split added one
+        shares its parent's tuples and appends it to the blocks; any other
+        child shares its parent's blocks and extends exactly one tuple; a
+        bypass-adopted node shares both with the node it replaces."""
+        leq = ConstraintKind.LENGTH_LEQ
         rng = random.Random(25)
         nodes = blocked = shared = extended = adoptions = 0
         for _ in range(6):
@@ -222,27 +225,67 @@ class TestTreeInvariants:
             for node in solver.tree_nodes + adopted:
                 nodes += 1
                 blocked += bool(node.blocks)
-                assert Counter(node.blocks) == Counter(
-                    c for cs in node.constraints for c in cs
-                    if c.kind is ConstraintKind.LENGTH_LEQ)
+                assert all(c.kind is leq for c in node.blocks)
+                assert not any(c.kind is leq
+                               for cs in node.constraints for c in cs)
                 parent = solver.parent_of.get(node.seq)
                 if parent is None:
                     continue
-                added = next(own[-1] for own, before
-                             in zip(node.constraints, parent.constraints)
-                             if own is not before)
-                if added.kind is ConstraintKind.LENGTH_LEQ:
+                added = solver.split_of[node.seq]
+                if added.kind is leq:
                     extended += 1
+                    assert node.constraints is parent.constraints
                     assert node.blocks == (*parent.blocks, added)
                 else:
                     shared += 1
                     assert node.blocks is parent.blocks
+                    own, before = node.constraints, parent.constraints
+                    changed = [a for a in range(len(own))
+                               if own[a] is not before[a]]
+                    assert changed == [added.agent]
+                    assert own[added.agent] == (*before[added.agent], added)
             for replaced, node in solver.adopted:
                 adoptions += 1
                 assert node.blocks is replaced.blocks
                 assert node.constraints is replaced.constraints
         assert nodes >= 500 and blocked >= 100 and shared >= 100
         assert extended >= 10 and adoptions >= 10
+
+    def test_probe_verdict_holds_with_the_agents_own_blocks(self,
+                                                            monkeypatch):
+        """A cardinality probe leaves out the agent's own blocks: its path
+        obeys each, so each has t >= its cost, which the probe caps anyway.
+        A spy re-probes with every block of the node, the agent's own
+        among them, and gets the same verdict, memoized or not."""
+        forced = Classifier._forced
+        seen = {"probes": 0, "own": 0, "own_beyond_cost": 0}
+
+        def spy(self, agent, c, paths, constraints, blocks):
+            verdict = forced(self, agent, c, paths, constraints, blocks)
+            cost = paths[agent].cost
+            own = [b for b in blocks if b.agent == agent]
+            assert all(b.t >= cost for b in own)
+            ctable = ConstraintTable(
+                self.tables.grid, agent,
+                [*constraints[agent], *blocks, split_constraint_for(agent, c),
+                 length_leq(agent, cost)], self.targets)
+            again = earliest_arrival(ctable, paths[agent].cells[0],
+                                     self.targets[agent], self.tables) is None
+            assert again == verdict
+            seen["probes"] += 1
+            seen["own"] += bool(own)
+            seen["own_beyond_cost"] += any(b.t > cost for b in own)
+            return verdict
+
+        monkeypatch.setattr(Classifier, "_forced", spy)
+        rng = random.Random(25)
+        for _ in range(6):
+            inst = random_instance(rng, 5, 5, 4)
+            result = solve(inst, SolverConfig(
+                w=1.05, flex_mode=FlexMode.MFD, time_limit=10.0))
+            assert result.outcome == "solved"
+        assert seen["probes"] >= 3000
+        assert seen["own"] >= 300 and seen["own_beyond_cost"] >= 30
 
     @pytest.mark.parametrize("mode", ALL_MODES)
     @pytest.mark.parametrize("low_level", LOW_LEVELS)
@@ -258,16 +301,21 @@ class TestTreeInvariants:
             solver.solve()
             for node in solver.tree_nodes:
                 nodes += 1
-                conflicts, _counts, total = detect_conflicts(inst.map,
-                                                             node.paths)
+                conflicts = detect_conflicts(inst.map, node.paths)
                 assert set(node.conflicts) == set(conflicts)
-                assert node.x_total == total
+                assert node.x_total == len(conflicts)
                 parent = solver.parent_of.get(node.seq)
                 if parent is None:
                     continue
-                # the child extends exactly one agent's tuple and shares the
-                # others; a parent changed in place would share all of them
+                # a LENGTH_LEQ child changes no tuple, its constraint going
+                # to the blocks; any other child extends exactly one agent's
+                # tuple and shares the others, where a parent changed in
+                # place would share all of them
                 own, parent = node.constraints, parent.constraints
+                added = solver.split_of[node.seq]
+                if added.kind is ConstraintKind.LENGTH_LEQ:
+                    assert own is parent
+                    continue
                 changed = [a for a in range(len(own)) if own[a] is not parent[a]]
                 assert len(changed) == 1
                 a = changed[0]
@@ -284,8 +332,10 @@ class TestTreeInvariants:
         checked = {"calls": 0, "shares": 0}
 
         def spy_compute(self, lbs, paths, agent, parent, *args):
-            _, counts, total = detect_conflicts(self.grid, parent.paths)
-            replan.update(x_i=counts[agent], x_total=total)
+            conflicts = detect_conflicts(self.grid, parent.paths)
+            replan.update(
+                x_i=sum(agent in (c.a_i, c.a_j) for c in conflicts),
+                x_total=len(conflicts))
             return compute(self, lbs, paths, agent, parent, *args)
 
         def spying(real):
