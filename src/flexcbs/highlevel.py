@@ -199,8 +199,9 @@ class Solver:
         self.targets = {a.id: a.target for a in instance.agents}
         self.starts = {a.id: a.start for a in instance.agents}
         # every static distance table the searches and probes read; the
-        # agents' target tables now, each settled over the reach of its root
-        # search, the others when first read
+        # agents' target tables now, each focused on the agent's start and
+        # settled over the reach of its root search, the others when first
+        # read
         self.tables = Distances(self.grid, {
             a.target: compute_h(self.grid, a.target, a.start, config.w)
             for a in instance.agents})

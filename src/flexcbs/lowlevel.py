@@ -19,9 +19,12 @@ tests a step against both without translating a cell.
 
 h is the exact static distance to the goal. Every static table comes from
 one per-grid cache, `Distances`: a `DistanceTable` per (target, banned
-cell ids), a backward BFS settled only as far as it is read. A Solver
-settles each agent's over the reach of its root search. The goal's table
-around cells blocked forever says which cells still reach the goal.
+cell ids), a backward search settled only as far as it is read (Reverse
+Resumable A*). A Solver focuses each agent's table on the agent's start, so
+it settles in f-levels of g + the Manhattan distance to the start, and
+settles it over the reach of the root search; the other tables are plain
+backward BFSs. The goal's table around cells blocked forever says which
+cells still reach the goal.
 """
 
 from __future__ import annotations
@@ -41,49 +44,119 @@ CLOSED = -1  # the conflict count `_search` files an expanded state under
 
 
 class DistanceTable:
-    """Exact static distances to one target, settled lazily by a backward BFS
-    that is resumed one level at a time (Silver's Reverse Resumable A*, in its
-    plain BFS form).
+    """Exact static distances to one target, settled lazily by a backward
+    search that is resumed one level at a time: Silver's Reverse Resumable
+    A* (Silver, "Cooperative Pathfinding", AIIDE 2005).
 
     `dist` is a list indexed by cell id, one entry per passable cell: an entry
-    is exact once settled and None before. After level d every cell within d
-    steps is settled. When the BFS runs out, every entry still None becomes
-    INF: the cells that cannot reach the target. Hot loops bind `dist` and
-    `settle` to locals and call `settle(v)` on a None read; `table[v]` does
-    both.
+    is exact once settled and None before. A table with a `focus` cell
+    settles cells in order of f = g + |r - r_f| + |c - c_f|, g the distance
+    to the target: A* toward the focus with the Manhattan heuristic, which
+    is consistent on the 4-connected grid, so one step changes f by 0 or +2
+    and the pending cells are two lists, the current level and the next,
+    with no heap. A neighbor one step nearer the focus keeps f, so its
+    distance is exact: it is settled at once and joins the current level.
+    Any other neighbor joins the next level and is settled when that level
+    begins, unless the current one settles it first, since that discovery
+    can be 2 too long. A table without a focus is a plain BFS (f = g), whose
+    level loop is cheaper on a full settle. After level f every cell with f
+    or less is settled. When the search runs out, every entry still None
+    becomes INF: the cells that cannot reach the target. Hot loops bind
+    `dist` and `settle` to locals and call `settle(v)` on a None read;
+    `table[v]` does both.
     """
 
-    __slots__ = ("dist", "_level", "_moves", "_frontier")
+    __slots__ = ("dist", "_level", "_moves", "_frontier", "_focus",
+                 "_sides", "_cells")
 
     def __init__(self, grid: GridMap, target: Cell,
-                 banned: frozenset[int] = frozenset()):
+                 banned: frozenset[int] = frozenset(),
+                 focus: Cell | None = None):
         moves = grid.moves
         dist: list[float | None] = [None] * len(moves)
-        for v in banned:  # never entered: the BFS treats them as settled
+        for v in banned:  # never entered: the search treats them as settled
             dist[v] = INF
         src = grid.id_of(target)
-        dist[src] = 0
         self.dist = dist
-        self._level = 0
         self._moves = moves
+        self._focus = focus
         self._frontier = [src]
+        if focus is None:  # the frontier is the level settled last
+            dist[src] = 0
+            self._level = 0
+        else:  # the frontier is the level settled next: f = md(src, focus)
+            self._level = (abs(target[0] - focus[0])
+                           + abs(target[1] - focus[1]) - 2)
+            self._sides = grid.sides
+            self._cells = grid.cell_of
 
     def _step(self):
-        """Settle the next level of the BFS."""
-        dist, moves = self.dist, self._moves
-        d = self._level = self._level + 1
-        nxt = []
-        for cur in self._frontier:
-            for nb in moves[cur]:
-                if dist[nb] is None:
-                    dist[nb] = d
-                    nxt.append(nb)
+        """Settle the next level of the search."""
+        dist = self.dist
+        if self._focus is None:
+            moves = self._moves
+            d = self._level = self._level + 1
+            nxt = []
+            for cur in self._frontier:
+                for nb in moves[cur]:
+                    if dist[nb] is None:
+                        dist[nb] = d
+                        nxt.append(nb)
+        else:
+            sides, cells = self._sides, self._cells
+            fr, fc = self._focus
+            f = self._level = self._level + 2
+            # the frontier becomes the stack of settled cells to expand: its
+            # unsettled cells, once each, in place (a fresh list per level
+            # fragments the heap and raises the peak RSS)
+            stack, nxt = self._frontier, []
+            now, later = stack.append, nxt.append
+            pop = stack.pop
+            k = 0
+            for v in stack:
+                if dist[v] is None:
+                    r, c = cells[v]
+                    dr, dc = r - fr, c - fc
+                    dist[v] = (f - (dr if dr > 0 else -dr)
+                               - (dc if dc > 0 else -dc))
+                    stack[k] = v
+                    k += 1
+            del stack[k:]
+            while stack:
+                v = pop()
+                g = dist[v] + 1
+                r, c = cells[v]
+                up, down, left, right = sides[v]
+                if up >= 0 and dist[up] is None:
+                    if r > fr:
+                        dist[up] = g
+                        now(up)
+                    else:
+                        later(up)
+                if down >= 0 and dist[down] is None:
+                    if r < fr:
+                        dist[down] = g
+                        now(down)
+                    else:
+                        later(down)
+                if left >= 0 and dist[left] is None:
+                    if c > fc:
+                        dist[left] = g
+                        now(left)
+                    else:
+                        later(left)
+                if right >= 0 and dist[right] is None:
+                    if c < fc:
+                        dist[right] = g
+                        now(right)
+                    else:
+                        later(right)
         self._frontier = nxt
         if not nxt:  # in place: readers hold this list
             dist[:] = [INF if x is None else x for x in dist]
 
     def settle(self, v: int) -> float:
-        """The exact distance of cell id v, resuming the BFS until v is
+        """The exact distance of cell id v, resuming the search until v is
         settled."""
         dist = self.dist
         while dist[v] is None:
@@ -93,8 +166,9 @@ class DistanceTable:
     __getitem__ = settle
 
     def settle_within(self, radius: float):
-        """Settle every cell within radius steps (all of them for INF)."""
-        while self._frontier and self._level < radius:
+        """Settle every cell with f <= radius (all of them for INF)."""
+        stride = 1 if self._focus is None else 2
+        while self._frontier and self._level + stride <= radius:
             self._step()
 
 
@@ -104,27 +178,32 @@ def compute_h(grid: GridMap, target: Cell, start: Cell | None = None,
     """Exact static shortest-path distance to target, as a `DistanceTable`;
     the cells whose ids are `banned` are never entered and read INF.
 
-    With a start, the table is settled over the reach of a focal search from
-    start with weight w and no constraints: its bound is w * h(start), every
-    state it expands has h <= that bound and every successor one step more,
-    so every cell within floor(w * h(start)) + 1 steps. Other entries settle
-    when read.
+    With a start, the table is focused on start and settled over the reach
+    of a focal search from start with weight w and no constraints. Its f_min
+    stays h0 = h(start), so every state (v, t) it expands has
+    t + h(v) <= w * h0 + EPS, the kernel's FOCAL test, and t >= md(v, start);
+    a successor v2 then has h(v2) + md(v2, start) <= t + h(v) + 2, so the
+    search reads only cells with f <= floor(w * h0 + EPS) + 2. Other entries
+    settle when read.
     """
     if not grid.is_passable(target):
         raise ValueError(f"target {target} is not passable")
-    table = DistanceTable(grid, target, banned)
-    if start is not None:
-        h0 = table.settle(grid.id_of(start))
-        if h0 < INF:
-            table.settle_within(math.floor(w * h0) + 1)
+    if start is None:
+        return DistanceTable(grid, target, banned)
+    table = DistanceTable(grid, target, banned, focus=start)
+    h0 = table.settle(grid.id_of(start))
+    if h0 < INF:
+        table.settle_within(math.floor(w * h0 + EPS) + 2)
     return table
 
 
 class Distances:
     """The static distance tables of one grid, one per (target cell, banned
     cell ids), each built once through `compute_h` and settled as it is read.
-    `seeds` maps targets to tables the owner built itself, banning nothing.
-    A Solver owns one and shares it with its `Classifier` and searches.
+    `seeds` maps targets to tables the owner built itself, banning nothing: a
+    Solver's are focused on the agents' starts. A table built here has no
+    focus and settles as a BFS. A Solver owns one and shares it with its
+    `Classifier` and searches.
     """
 
     def __init__(self, grid: GridMap,

@@ -7,7 +7,9 @@ an id: a passable cell's rank among the passable cells in row-major order,
 so ids run 0..N-1 with N = `GridMap.num_passable()` and a blocked cell has
 none. `GridMap.moves` is a list indexed by id, and so is the `dist` list of
 every distance table in a `lowlevel.Distances` cache, whose entries are
-settled lazily (None until the backward BFS reaches them). `GridMap.index`
+settled lazily (None until the backward search settles them; see
+`lowlevel.DistanceTable`). `GridMap.sides` lists each id's north, south,
+west and east neighbor ids, -1 for none. `GridMap.index`
 (or `id_of`) maps a passable cell to its id and `GridMap.cell_of` maps an id
 back to the grid's own cell tuple.
 A cell id v at timestep t is the space-time key `t * N + v` (N, not width,
@@ -48,6 +50,10 @@ class GridMap:
     # then up/down/left/right, the order that fixes search tie-breaking
     moves: list[tuple[int, ...]] = field(init=False, compare=False,
                                          repr=False)
+    # id -> the (north, south, west, east) neighbor ids, -1 where that side
+    # is blocked or off the grid: which neighbors step toward a cell
+    sides: list[tuple[int, int, int, int]] = field(init=False, compare=False,
+                                                   repr=False)
 
     def __post_init__(self):
         if self.height < 1 or self.width < 1:
@@ -55,28 +61,39 @@ class GridMap:
         if len(self.passable) != self.height * self.width:
             raise ValueError("passable length does not match dimensions")
         height, width, passable = self.height, self.width, self.passable
-        flat = [i for i, ok in enumerate(passable) if ok]  # id -> flat index
-        rank = [-1] * len(passable)  # flat index -> id, -1 if blocked
-        for v, i in enumerate(flat):
-            rank[i] = v
-        moves = []
-        for v, i in enumerate(flat):
-            r, c = divmod(i, width)
+        # rank: padded flat index -> id, -1 if blocked; the grid sits in a
+        # border of -1 cells, so no neighbor lookup tests the bounds
+        span = width + 2
+        rank = [-1] * ((height + 2) * span)
+        cell_of, at = [], []
+        for i, ok in enumerate(passable):
+            if ok:
+                r, c = divmod(i, width)
+                j = (r + 1) * span + c + 1
+                rank[j] = len(at)
+                at.append(j)
+                cell_of.append((r, c))
+        moves, sides = [], []
+        for v, j in enumerate(at):
+            up, down = rank[j - span], rank[j + span]
+            left, right = rank[j - 1], rank[j + 1]
+            sides.append((up, down, left, right))
             step = [v]
-            if r > 0 and rank[i - width] >= 0:
-                step.append(rank[i - width])
-            if r < height - 1 and rank[i + width] >= 0:
-                step.append(rank[i + width])
-            if c > 0 and rank[i - 1] >= 0:
-                step.append(rank[i - 1])
-            if c < width - 1 and rank[i + 1] >= 0:
-                step.append(rank[i + 1])
+            if up >= 0:
+                step.append(up)
+            if down >= 0:
+                step.append(down)
+            if left >= 0:
+                step.append(left)
+            if right >= 0:
+                step.append(right)
             moves.append(tuple(step))
-        cell_of = tuple(divmod(i, width) for i in flat)
+        cell_of = tuple(cell_of)
         object.__setattr__(self, "index",
                            dict(zip(cell_of, range(len(cell_of)))))
         object.__setattr__(self, "cell_of", cell_of)
         object.__setattr__(self, "moves", moves)
+        object.__setattr__(self, "sides", sides)
 
     def is_passable(self, cell: Cell) -> bool:
         return cell in self.index

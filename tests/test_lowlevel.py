@@ -13,7 +13,7 @@ from flexcbs.constraints import (BY_PAIR, ConstraintKind, Path,
                                  edge_constraint, length_gt, length_leq,
                                  vertex_constraint)
 from flexcbs.highlevel import Solver, SolverConfig
-from flexcbs.lowlevel import (INF, ConstraintTable, Distances,
+from flexcbs.lowlevel import (INF, ConstraintTable, Distances, DistanceTable,
                               LowLevelRequest, Occupancy, compute_h,
                               earliest_arrival, fastar_search, focal_search)
 from flexcbs.map_io import GridMap
@@ -83,9 +83,34 @@ class TestComputeH:
         assert h.dist == [brute.get(c, INF) for c in grid.cell_of]
 
     @settings(max_examples=200, deadline=None)
+    @given(grid=small_grids(), data=st.data())
+    def test_focused_reads_match_brute_bfs(self, grid, data):
+        """A table focused on any cell, with any cells banned, then read in
+        any order: every entry is exact, unreachable and banned cells read
+        INF, and no entry is wrong before it is read."""
+        cells = grid.passable_cells()
+        assume(cells)
+        target = data.draw(st.sampled_from(cells))
+        focus = data.draw(st.sampled_from(cells))
+        banned = data.draw(st.frozensets(st.sampled_from(cells),
+                                         max_size=3)) - {target}
+        brute = brute_distances(grid, target, banned)
+        h = DistanceTable(grid, target, frozenset(map(grid.id_of, banned)),
+                          focus=focus)
+        want = [INF if c in banned else brute.get(c, INF)
+                for c in grid.cell_of]
+        order = data.draw(st.permutations(range(len(grid.cell_of))))
+        for i in order:
+            assert h.settle(i) == want[i]
+            assert all(x in (None, y) for x, y in zip(h.dist, want))
+        assert h.dist == want
+
+    @settings(max_examples=200, deadline=None)
     @given(grid=small_grids(), data=st.data(),
            w=st.sampled_from([1.0, 1.05, 1.5, 2.0]))
     def test_start_settles_the_root_search_reach(self, grid, data, w):
+        """A start focuses the table on it and settles every cell with
+        h + md(cell, start) <= floor(w * h0 + EPS) + 2, all of them exact."""
         cells = grid.passable_cells()
         assume(cells)
         target = data.draw(st.sampled_from(cells))
@@ -93,12 +118,29 @@ class TestComputeH:
         brute = brute_distances(grid, target)
         h = compute_h(grid, target, start, w)
         h0 = brute.get(start, INF)
-        reach = math.floor(w * h0) + 1 if h0 < INF else INF
-        for i, cell in enumerate(grid.cell_of):
-            want = brute.get(cell, INF)
-            if want <= reach:
+        reach = math.floor(w * h0 + lowlevel.EPS) + 2 if h0 < INF else INF
+        for i, (r, c) in enumerate(grid.cell_of):
+            want = brute.get((r, c), INF)
+            if want + abs(r - start[0]) + abs(c - start[1]) <= reach:
                 assert h.dist[i] == want
             assert h.dist[i] in (None, want)
+
+    @pytest.mark.parametrize("w", [1.14, 1.16])
+    def test_reach_counts_the_kernels_eps(self, w):
+        """w * 100 is 113.99999999999999 or 115.99999999999999 in floats,
+        while FOCAL admits f <= bound + EPS: with h0 = 100 on a corridor the
+        root search may expand (0, 100 + k) at t = k for k = 7 or 8 and read
+        the next cell out, whose h + md is w * 100 rounded up, plus 2. A reach
+        of floor(w * h0) + 2 leaves it unsettled. (At w = 1.15, w * 100 =
+        114.99999999999999 needs no EPS here: every f of a table focused at
+        h0 = 100 is even.)"""
+        grid = open_grid(1, 130)
+        h = compute_h(grid, (0, 0), (0, 100), w)
+        bound = round(w * 100)
+        k = (bound - 100) // 2
+        assert k + (100 + k) <= w * 100 + lowlevel.EPS  # admitted by FOCAL
+        assert math.floor(w * 100) == bound - 1
+        assert h.dist[grid.id_of((0, 101 + k))] == 101 + k
 
     def test_banned_cells_are_walls(self):
         grid = open_grid(2, 5)
@@ -683,15 +725,16 @@ class TestPrunedSweepsMatchBrute:
 
 
 class TestLazyTables:
-    """A table settled only to h(start) gives the searches exactly the
-    results of a fully settled one."""
+    """A table settled only to h(start), or focused on start over the root
+    search's reach, gives the searches exactly the results of a fully
+    settled one."""
 
     @staticmethod
-    def tables(grid, start, goal):
+    def tables(grid, start, goal, w):
         lazy, full = compute_h(grid, goal), compute_h(grid, goal)
         lazy.settle(grid.id_of(start))
         full.settle_within(INF)
-        return lazy, full
+        return lazy, compute_h(grid, goal, start, w), full
 
     @settings(max_examples=150, deadline=None)
     @given(problem=constrained_problems(), data=st.data(),
@@ -702,21 +745,44 @@ class TestLazyTables:
         others = data.draw(st.lists(walks(grid, cells), max_size=2))
         for search in (focal_search, fastar_search):
             results = []
-            for h in self.tables(grid, start, goal):
+            for h in self.tables(grid, start, goal, w):
                 req = make_request(grid, start, goal, cs, others=others, w=w,
                                    delta=delta, targets=targets,
                                    tables=Distances(grid, {goal: h}))
                 results.append(search(req))
-            assert results[0] == results[1]
+            assert results[0] == results[1] == results[2]
 
     @settings(max_examples=150, deadline=None)
-    @given(problem=constrained_problems(), horizon=st.integers(0, 14))
-    def test_earliest_arrival(self, problem, horizon):
+    @given(problem=constrained_problems(), horizon=st.integers(0, 14),
+           w=st.sampled_from([1.0, 1.2, 2.0]))
+    def test_earliest_arrival(self, problem, horizon, w):
         grid, cells, start, goal, cs, targets = problem
         got = [probe(grid, cs, start, goal, horizon, targets,
                      Distances(grid, {goal: h}))
-               for h in self.tables(grid, start, goal)]
-        assert got[0] == got[1]
+               for h in self.tables(grid, start, goal, w)]
+        assert got[0] == got[1] == got[2]
+
+    @pytest.mark.parametrize("low_level", ["focal", "fastar"])
+    @pytest.mark.parametrize("w", [1.0, 1.05, 1.5, 2.0])
+    def test_root_build_resumes_no_table(self, monkeypatch, w, low_level):
+        """Each agent's table, focused on its start, already holds every
+        entry its root search reads: building the root settles no level."""
+        steps = []
+        real = DistanceTable._step
+
+        def spy(table):
+            steps.append(table)
+            real(table)
+
+        for seed in range(6):
+            rng = random.Random(seed)
+            instance = random_instance(rng, 12, 12, 8, density=0.25)
+            solver = Solver(instance, SolverConfig(w=w, low_level=low_level,
+                                                   time_limit=10.0))
+            monkeypatch.setattr(DistanceTable, "_step", spy)
+            assert solver.make_root() is not None
+            monkeypatch.setattr(DistanceTable, "_step", real)
+        assert steps == []
 
     # each seed's solve builds tables around other agents' targets, so every
     # banned key is a walls table

@@ -107,6 +107,21 @@ class TestGrid:
         assert len(grid.moves) == grid.num_passable() == len(cells)
         assert () not in grid.moves
 
+    @settings(max_examples=200, deadline=None)
+    @given(grid=small_grids())
+    def test_side_table_names_each_sides_neighbor(self, grid):
+        """sides[v] holds the ids of the north, south, west and east
+        neighbors, -1 where that side is blocked or off the grid; `moves[v]`
+        is still v and then those neighbors in that order."""
+        assert len(grid.sides) == grid.num_passable()
+        for v, (r, c) in enumerate(grid.cell_of):
+            steps = brute_steps(grid, (r, c))
+            want = [grid.id_of(cell) if cell in steps else -1
+                    for cell in ((r - 1, c), (r + 1, c), (r, c - 1),
+                                 (r, c + 1))]
+            assert list(grid.sides[v]) == want
+            assert grid.moves[v] == (v, *(u for u in want if u >= 0))
+
     def test_neighbor_symmetry(self):
         rng = random.Random(1)
         for _ in range(20):
